@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import ConfigError, Dataset, GaussianClassModel, ScatterMatrices, \
-    check_projection, compute_scatter, diag_congruence, estimate_class_model, \
-    sphere, symmetrize
-from .objective import ClampStats, LOG_2PI, projected_variances
+from .core import ConfigError, Dataset, ScatterMatrices, check_projection, \
+    compute_scatter, estimate_class_model, sphere, symmetrize
+from .objective import ClampStats, diag_gaussian_log_densities, \
+    full_gaussian_log_densities, projected_variances
 from .optimizer import OptimConfig, _normalize_columns, discriminant_directions, \
     init_projection, maximize, order_columns
 
@@ -36,41 +36,6 @@ def _as_matrix(X, p: int):
     if X.ndim != 2 or X.shape[1] != p:
         raise ValueError(f"expected points with {p} coordinates, got {X.shape}")
     return X
-
-
-def _diag_log_densities(Z, means, variances):
-    """Diagonal-Gaussian log-densities: rows are points, columns classes."""
-    diff = Z[:, None, :] - means[None, :, :]
-    quad = np.einsum("ikj,kj->ik", diff * diff, 1.0 / variances)
-    const = -0.5 * Z.shape[1] * LOG_2PI - 0.5 * np.log(variances).sum(axis=1)
-    return const[None, :] - 0.5 * quad
-
-
-def _full_log_densities(Z, means, covariances):
-    """Full-covariance Gaussian log-densities via Cholesky solves.
-
-    A class covariance that fails to factor gets a ridge of
-    1e-8 * trace/p on the diagonal, with a warning.
-    """
-    from scipy.linalg import cho_factor, cho_solve
-
-    n, d = Z.shape
-    K = means.shape[0]
-    out = np.empty((n, K))
-    for k in range(K):
-        S = symmetrize(covariances[k])
-        try:
-            chol = cho_factor(S, lower=True)
-        except np.linalg.LinAlgError:
-            ridge = 1e-8 * max(np.trace(S), 1.0) / d
-            warnings.warn("singular covariance; adding ridge "
-                          f"{ridge:.3e} to keep the discriminant defined")
-            chol = cho_factor(S + ridge * np.eye(d), lower=True)
-        logdet = 2.0 * np.log(np.diag(chol[0])).sum()
-        D = Z - means[k]
-        quad = np.einsum("ij,ji->i", D, cho_solve(chol, D.T))
-        out[:, k] = -0.5 * (d * LOG_2PI + logdet + quad)
-    return out
 
 
 def _posterior_predict(log_dens, priors):
@@ -164,8 +129,9 @@ def predict(model: OpgdModel, X):
     Ties in the posterior argmax go to the lowest class index.
     """
     X = _as_matrix(X, model.p)
-    ld = _diag_log_densities(X @ model.projection, model.projected_means,
-                             model.projected_vars)
+    ld = diag_gaussian_log_densities(X @ model.projection,
+                                     model.projected_means,
+                                     model.projected_vars)
     return _posterior_predict(ld, model.priors)
 
 
@@ -224,10 +190,9 @@ def lda_fit(train: Dataset, r: int, ridge_frac: float = 1e-6,
 def lda_predict(model: LdaModel, X):
     X = _as_matrix(X, model.p)
     Z = X @ model.projection
-    ld = _full_log_densities(Z, model.means,
-                             np.broadcast_to(model.covariance,
-                                             (model.means.shape[0],) +
-                                             model.covariance.shape))
+    covs = np.broadcast_to(model.covariance,
+                           (model.means.shape[0],) + model.covariance.shape)
+    ld = full_gaussian_log_densities(Z, model.means, covs)
     return _posterior_predict(ld, model.priors)
 
 
@@ -287,8 +252,8 @@ def save_fit(train: Dataset, r: int, label_names=None) -> SaveModel:
 
 def save_predict(model: SaveModel, X):
     X = _as_matrix(X, model.p)
-    ld = _full_log_densities(X @ model.projection, model.means,
-                             model.covariances)
+    ld = full_gaussian_log_densities(X @ model.projection, model.means,
+                                     model.covariances)
     return _posterior_predict(ld, model.priors)
 
 
@@ -327,7 +292,7 @@ def rda_fit(train: Dataset, alpha: float, label_names=None) -> RdaModel:
 
 def rda_predict(model: RdaModel, X):
     X = _as_matrix(X, model.p)
-    ld = _full_log_densities(X, model.means, model.covariances)
+    ld = full_gaussian_log_densities(X, model.means, model.covariances)
     return _posterior_predict(ld, model.priors)
 
 

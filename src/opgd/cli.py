@@ -24,7 +24,6 @@ import hashlib
 import os
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +33,12 @@ from .classifier import LdaModel, OpgdModel, RdaModel, SaveModel, fit_opgd, \
     lda_fit, lda_predict, predict as opgd_predict, rda_fit, rda_predict, \
     save_fit, save_predict
 from .clustering import ClusterConfig, GmmModel, enhance_gmm, fit_gmm_em, \
-    hard_labels, pca_prefilter
+    gradient_check, hard_labels, pca_prefilter
 from .core import ConfigError, DataError, Dataset, NumericalError, \
     estimate_class_model
 from .evaluation import adjusted_rand_index, default_grid, grid_search, \
     make_folds, make_split, misclassification_error, \
     normalized_mutual_information
-from .objective import classification_log_likelihood, grad_objective
-from .clustering import cluster_objective, grad_cluster_objective
 from .optimizer import OptimConfig
 
 FORMAT_VERSION = "opgd-model-v1"
@@ -188,7 +185,6 @@ class RunManifest:
     params: tuple          # ((key, value-string), ...) sorted by key
     seed: int
     version: str
-    timestamp: float       # runtime only; never written to artifacts
 
     def semantic_lines(self) -> list[str]:
         lines = [MANIFEST_VERSION,
@@ -210,8 +206,7 @@ def make_manifest(command: str, data_path: str, seed: int,
     items = tuple(sorted((k, str(v)) for k, v in params.items()
                          if v is not None))
     return RunManifest(command=command, data_path=data_path, params=items,
-                       seed=seed, version=f"opgd-{__version__}",
-                       timestamp=time.time())
+                       seed=seed, version=f"opgd-{__version__}")
 
 
 def write_manifest(manifest: RunManifest, path: str):
@@ -432,8 +427,7 @@ def cmd_cluster(args) -> int:
     X = ing.dataset.X
     if args.pca_threshold is not None:
         X, _basis = pca_prefilter(X, args.pca_threshold)
-    cc = ClusterConfig(lam=args.lam, seed=args.seed,
-                       pca_threshold=args.pca_threshold)
+    cc = ClusterConfig(lam=args.lam, seed=args.seed)
     if args.init_gmm:
         with open(args.init_gmm, encoding="utf-8") as fh:
             gmm, _ = parse_model(fh.read())
@@ -542,71 +536,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _gradcheck_suite(trials: int, seed: int):
-    """Random-instance finite-difference suites for both gradients."""
-    rng = np.random.default_rng(seed)
-    worst_sup = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(15, 51))
-        p = int(rng.integers(2, 9))
-        K = int(rng.integers(2, 5))
-        dim = int(rng.integers(1, min(p, 4) + 1))
-        X = rng.standard_normal((n, p))
-        y = np.r_[np.tile(np.arange(1, K + 1), 2),
-                  rng.integers(1, K + 1, n - 2 * K)]
-        ds = Dataset(X, y)
-        model = estimate_class_model(ds)
-        V = rng.standard_normal((p, dim))
-        G = grad_objective(ds, V, model)
-        FD = _central_diff(
-            lambda M: classification_log_likelihood(ds, M, model), V)
-        worst_sup = max(worst_sup, _rel_err(G, FD))
-
-    worst_clu = 0.0
-    done = 0
-    while done < max(trials // 5, 10):
-        n = int(rng.integers(20, 51))
-        p = int(rng.integers(2, 7))
-        K = int(rng.integers(1, 4))
-        dim = int(rng.integers(1, min(p, 3) + 1))
-        X = rng.standard_normal((n, p)) + 3.0 * rng.integers(0, K, (n, 1))
-        cc = ClusterConfig(seed=int(rng.integers(1 << 31)))
-        gmm = fit_gmm_em(X, K, cc)
-        V = rng.standard_normal((p, dim))
-        from scipy.special import logsumexp
-        from .objective import log_densities
-        joint = np.log(gmm.weights)[None, :] + \
-            log_densities(X, V, gmm.means, gmm.covariances)
-        top2 = np.sort(joint, axis=1)
-        if K > 1 and np.min(top2[:, -1] - top2[:, -2]) < 1e-3:
-            continue                     # too close to a switching boundary
-        lam = float(n)
-        G = grad_cluster_objective(X, V, gmm, lam)
-        FD = _central_diff(lambda M: cluster_objective(X, M, gmm, lam), V)
-        worst_clu = max(worst_clu, _rel_err(G, FD))
-        done += 1
-    return worst_sup, worst_clu
-
-
-def _central_diff(fn, V, h: float = 1e-6):
-    FD = np.zeros_like(V)
-    for a in range(V.shape[0]):
-        for b in range(V.shape[1]):
-            Vp = V.copy()
-            Vp[a, b] += h
-            Vm = V.copy()
-            Vm[a, b] -= h
-            FD[a, b] = (fn(Vp) - fn(Vm)) / (2.0 * h)
-    return FD
-
-
-def _rel_err(G, FD):
-    return float(np.linalg.norm(G - FD) /
-                 max(np.linalg.norm(FD), 1e-12))
-
-
 def cmd_gradcheck(args) -> int:
-    worst_sup, worst_clu = _gradcheck_suite(args.trials, args.seed)
+    worst_sup, worst_clu = gradient_check(args.trials, args.seed)
     lines = [f"supervised_max_rel_err\t{_fmt(worst_sup)}",
              f"clustering_max_rel_err\t{_fmt(worst_clu)}",
              f"tolerance\t{_fmt(1e-5)}"]

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .classifier import _diag_log_densities
-from .core import ConfigError, DataError, check_projection, \
-    scatter_from_responsibilities, \
-    symmetrize
-from .objective import _grad_weighted_logdens, _weighted_scatter, \
-    log_densities, projected_variances
+from .core import ConfigError, DataError, Dataset, check_projection, \
+    estimate_class_model, scatter_from_responsibilities, symmetrize
+from .objective import classification_log_likelihood, \
+    diag_gaussian_log_densities, full_gaussian_log_densities, \
+    grad_objective, grad_weighted_log_densities, log_densities, \
+    projected_variances
 from .optimizer import OptimConfig, ascend, init_projection
 
 
@@ -54,8 +54,7 @@ class ClusterConfig:
     """Settings for mixture fitting and enhancement.
 
     ``lam`` is the orthonormality penalty weight; ``None`` means the
-    number of observations. ``pca_threshold`` enables the collinearity
-    pre-filter when set (0.999 is the conventional choice).
+    number of observations.
     """
 
     lam: float | None = None
@@ -63,15 +62,12 @@ class ClusterConfig:
     em_tol: float = 1e-8
     cov_floor: float = 1e-6
     seed: int = 0
-    pca_threshold: float | None = None
 
     def __post_init__(self):
         if self.lam is not None and self.lam < 0:
             raise ConfigError("lam must be non-negative")
         if self.em_max_iters < 1 or self.em_tol <= 0 or self.cov_floor <= 0:
             raise ConfigError("EM settings must be positive")
-        if self.pca_threshold is not None and not 0 < self.pca_threshold <= 1:
-            raise ConfigError("pca_threshold must lie in (0, 1]")
 
 
 def _floor_covariance(S, floor):
@@ -165,7 +161,7 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
             weights[k] = mass[k] / n
         weights = weights / weights.sum()
         # E-step
-        ld = _full_mixture_log_densities(X, means, covs)
+        ld = full_gaussian_log_densities(X, means, covs)
         joint = np.log(weights)[None, :] + ld
         ll_per_point = logsumexp(joint, axis=1)
         ll = float(ll_per_point.sum())
@@ -181,24 +177,10 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     return model
 
 
-def _full_mixture_log_densities(X, means, covs):
-    from scipy.linalg import cho_factor, cho_solve
-
-    n, p = X.shape
-    out = np.empty((n, means.shape[0]))
-    for k in range(means.shape[0]):
-        chol = cho_factor(symmetrize(covs[k]), lower=True)
-        logdet = 2.0 * np.log(np.diag(chol[0])).sum()
-        D = X - means[k]
-        quad = np.einsum("ij,ji->i", D, cho_solve(chol, D.T))
-        out[:, k] = -0.5 * (p * np.log(2 * np.pi) + logdet + quad)
-    return out
-
-
 def responsibilities(X, gmm: GmmModel):
     """Posterior component probabilities of each observation."""
     joint = np.log(gmm.weights)[None, :] + \
-        _full_mixture_log_densities(np.asarray(X, dtype=float),
+        full_gaussian_log_densities(np.asarray(X, dtype=float),
                                     gmm.means, gmm.covariances)
     return np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
 
@@ -228,9 +210,11 @@ def grad_cluster_objective(X, V, gmm: GmmModel, lam: float):
 
     The per-point argmax components are recomputed here (ties to the
     lowest index) and treated as locally constant, which is valid away
-    from assignment boundaries; the mixture-denominator part is the
-    same posterior-weighted form as the supervised gradient, and the
-    penalty contributes ``-4 lam V (V'V - I)``.
+    from assignment boundaries. The assignment term's gradient is then
+    that of ``sum_ik (hard_ik - post_ik) log phi_k(V'x_i)`` with both
+    weights held fixed; the kernel is linear in the weights, so one call
+    covers numerator and mixture denominator. The penalty contributes
+    ``-4 lam V (V'V - I)``.
     """
     X = np.asarray(X, dtype=float)
     V = check_projection(V, gmm.p)
@@ -239,14 +223,73 @@ def grad_cluster_objective(X, V, gmm: GmmModel, lam: float):
     post = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
     hard = np.zeros_like(post)
     hard[np.arange(X.shape[0]), np.argmax(joint, axis=1)] = 1.0
-    pv = projected_variances(V, gmm.covariances)
-    g_num = _grad_weighted_logdens(
-        V, gmm.covariances, pv,
-        _weighted_scatter(X, gmm.means, hard), hard.sum(axis=0))
-    g_den = _grad_weighted_logdens(
-        V, gmm.covariances, pv,
-        _weighted_scatter(X, gmm.means, post), post.sum(axis=0))
-    return g_num - g_den - 4.0 * lam * V @ (V.T @ V - np.eye(V.shape[1]))
+    diffs = (X @ V)[:, None, :] - (gmm.means @ V)[None, :, :]
+    G = grad_weighted_log_densities(
+        X, V, gmm.means, gmm.covariances,
+        projected_variances(V, gmm.covariances), diffs, hard - post)
+    return G - 4.0 * lam * V @ (V.T @ V - np.eye(V.shape[1]))
+
+
+def gradient_check(trials: int, seed: int):
+    """Worst relative errors ``(supervised, clustering)`` of the analytic
+    gradients against central differences (step 1e-6).
+
+    The supervised suite draws ``trials`` random labeled instances. The
+    clustering suite fits mixtures to shifted blobs and keeps drawing
+    until ``max(trials // 5, 10)`` instances lie clear of an assignment
+    switch, where the max-component term is not differentiable. The
+    error is ``||G - FD|| / max(||FD||, 1e-12)``.
+    """
+    def rel_err(fn, G, V, h=1e-6):
+        FD = np.zeros_like(V)
+        for a in range(V.shape[0]):
+            for b in range(V.shape[1]):
+                Vp = V.copy()
+                Vp[a, b] += h
+                Vm = V.copy()
+                Vm[a, b] -= h
+                FD[a, b] = (fn(Vp) - fn(Vm)) / (2.0 * h)
+        return float(np.linalg.norm(G - FD) /
+                     max(np.linalg.norm(FD), 1e-12))
+
+    rng = np.random.default_rng(seed)
+    worst_sup = 0.0
+    for _ in range(trials):
+        n = int(rng.integers(15, 51))
+        p = int(rng.integers(2, 9))
+        K = int(rng.integers(2, 5))
+        dim = int(rng.integers(1, min(p, 4) + 1))
+        X = rng.standard_normal((n, p))
+        y = np.r_[np.tile(np.arange(1, K + 1), 2),
+                  rng.integers(1, K + 1, n - 2 * K)]
+        ds = Dataset(X, y)
+        model = estimate_class_model(ds)
+        V = rng.standard_normal((p, dim))
+        worst_sup = max(worst_sup, rel_err(
+            lambda M: classification_log_likelihood(ds, M, model),
+            grad_objective(ds, V, model), V))
+
+    worst_clu = 0.0
+    done = 0
+    while done < max(trials // 5, 10):
+        n = int(rng.integers(20, 51))
+        p = int(rng.integers(2, 7))
+        K = int(rng.integers(1, 4))
+        dim = int(rng.integers(1, min(p, 3) + 1))
+        X = rng.standard_normal((n, p)) + 3.0 * rng.integers(0, K, (n, 1))
+        gmm = fit_gmm_em(X, K, ClusterConfig(seed=int(rng.integers(1 << 31))))
+        V = rng.standard_normal((p, dim))
+        joint = np.log(gmm.weights)[None, :] + \
+            log_densities(X, V, gmm.means, gmm.covariances)
+        top2 = np.sort(joint, axis=1)
+        if K > 1 and np.min(top2[:, -1] - top2[:, -2]) < 1e-3:
+            continue
+        lam = float(n)
+        worst_clu = max(worst_clu, rel_err(
+            lambda M: cluster_objective(X, M, gmm, lam),
+            grad_cluster_objective(X, V, gmm, lam), V))
+        done += 1
+    return worst_sup, worst_clu
 
 
 def _diag_em(Z, weights, means, variances, config: ClusterConfig):
@@ -259,7 +302,7 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
     trace = []
     for it in range(config.em_max_iters + 1):
         joint = np.log(weights)[None, :] + \
-            _diag_log_densities(Z, means, variances)
+            diag_gaussian_log_densities(Z, means, variances)
         ll_per_point = logsumexp(joint, axis=1)
         ll = float(ll_per_point.sum())
         trace.append(ll)

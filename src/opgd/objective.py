@@ -15,17 +15,33 @@ is ``-1/2 sum_k n_k sum_j log(v_j' Sigma_k v_j)``; ``ell2`` and the
 posteriors are evaluated with a per-observation log-sum-exp shift.
 
 All gradients here are exact: the dependence of the projected means and
-variances on ``V`` is differentiated through, not held fixed.
+variances on ``V`` is differentiated through, not held fixed. The
+gradient of any weighted sum ``sum_ik W_ik log phi_k(V'x_i)`` needs the
+weighted scatters ``S_k = sum_i W_ik (x_i - mu_k)(x_i - mu_k)'`` only
+through ``S_k V`` and ``v_j' S_k v_j``, and both come straight from the
+projected differences ``D_ik = V'(x_i - mu_k)``:
+
+    S_k V = sum_i W_ik x_i D_ik' - mu_k (sum_i W_ik D_ik)',
+    v_j' S_k v_j = sum_i W_ik D_ikj^2,
+
+so no p x p scatter is formed. That gradient is linear in ``W``: the
+supervised ``ell2`` uses the posteriors, the clustering objective the
+hard assignments minus the posteriors, in one call each.
+
+The diagonal and full-covariance Gaussian log-density routines here are
+the only ones in the package; the classifier and the mixture code call
+them too.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import Dataset, GaussianClassModel, check_projection, diag_congruence
+from .core import Dataset, GaussianClassModel, check_projection, symmetrize
 
 # Projected variances are clamped below at this fraction of trace/p of the
 # corresponding class covariance; clamp events are counted, never raised.
@@ -65,21 +81,54 @@ def projected_variances(V, covariances, clamp: ClampStats | None = None):
     return pv
 
 
+def diag_gaussian_log_densities(Z, means, variances):
+    """``n x K`` diagonal-Gaussian log-densities of the rows of ``Z``.
+
+    Entry (i, k) is ``log N(z_i; means[k], diag(variances[k]))``.
+    """
+    diff = Z[:, None, :] - means[None, :, :]     # (n, K, d)
+    quad = np.einsum("ikj,kj->ik", diff * diff, 1.0 / variances)
+    const = -0.5 * Z.shape[1] * LOG_2PI - 0.5 * np.log(variances).sum(axis=1)
+    return const[None, :] - 0.5 * quad
+
+
+def full_gaussian_log_densities(Z, means, covariances):
+    """``n x K`` full-covariance Gaussian log-densities via Cholesky solves.
+
+    A covariance that fails to factor gets a ridge of
+    1e-8 * trace/d on the diagonal, with a warning; one that still fails
+    (indefinite) raises ``LinAlgError``.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    n, d = Z.shape
+    K = means.shape[0]
+    out = np.empty((n, K))
+    for k in range(K):
+        S = symmetrize(covariances[k])
+        try:
+            chol = cho_factor(S, lower=True)
+        except np.linalg.LinAlgError:
+            ridge = 1e-8 * max(np.trace(S), 1.0) / d
+            warnings.warn("singular covariance; adding ridge "
+                          f"{ridge:.3e} to keep the discriminant defined")
+            chol = cho_factor(S + ridge * np.eye(d), lower=True)
+        logdet = 2.0 * np.log(np.diag(chol[0])).sum()
+        D = Z - means[k]
+        quad = np.einsum("ij,ji->i", D, cho_solve(chol, D.T))
+        out[:, k] = -0.5 * (d * LOG_2PI + logdet + quad)
+    return out
+
+
 def log_densities(X, V, means, covariances, clamp: ClampStats | None = None):
     """``n x K`` matrix of projected diagonal-Gaussian log-densities.
 
     Entry (i, k) is ``log N(V'x_i; V'mu_k, diag(v_j' Sigma_k v_j))``.
     """
-    X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
-    means = np.asarray(means, dtype=float)
-    Z = X @ V                                    # (n, p')
-    M = means @ V                                # (K, p')
     pv = projected_variances(V, covariances, clamp)
-    const = -0.5 * V.shape[1] * LOG_2PI - 0.5 * np.log(pv).sum(axis=1)  # (K,)
-    diff = Z[:, None, :] - M[None, :, :]         # (n, K, p')
-    quad = np.einsum("ikj,kj->ik", diff * diff, 1.0 / pv)
-    return const[None, :] - 0.5 * quad
+    return diag_gaussian_log_densities(np.asarray(X, dtype=float) @ V,
+                                       np.asarray(means, dtype=float) @ V, pv)
 
 
 def log_density_projected(x, V, mean, cov, clamp: ClampStats | None = None) -> float:
@@ -114,55 +163,51 @@ def grad_log_density_projected(x, V, mean, cov):
 class GradientWorkspace:
     """Per-evaluation intermediates shared across gradient columns.
 
-    ``scatter_by_class[k]`` is the posterior-weighted scatter
-    ``S_k(V) = sum_i p_ik (x_i - mu_k)(x_i - mu_k)'``, accumulated once
-    per evaluation and reused for every column of the gradient.
+    ``diffs[i, k, j]`` is the projected difference ``v_j'(x_i - mu_k)``,
+    formed once per evaluation; see :func:`grad_weighted_log_densities`.
     """
 
     log_dens: np.ndarray          # (n, K)
     proj_vars: np.ndarray         # (K, p')
     posteriors: np.ndarray        # (n, K)
-    scatter_by_class: np.ndarray  # (K, p, p)
+    diffs: np.ndarray             # (n, K, p')
     clamp: ClampStats = field(default_factory=ClampStats)
 
 
 def build_workspace(dataset: Dataset, V, model: GaussianClassModel,
                     clamp: ClampStats | None = None) -> GradientWorkspace:
-    """Evaluate densities, posteriors and S_k(V) for one projection."""
+    """Evaluate densities, posteriors and projected differences for one
+    projection."""
     V = check_projection(V, model.p)
     clamp = clamp if clamp is not None else ClampStats()
-    ld = log_densities(dataset.X, V, model.means, model.covariances, clamp)
-    pv = projected_variances(V, model.covariances)
+    Z = dataset.X @ V
+    M = model.means @ V
+    pv = projected_variances(V, model.covariances, clamp)
+    ld = diag_gaussian_log_densities(Z, M, pv)
     logpost = np.log(model.priors)[None, :] + ld
     P = np.exp(logpost - logsumexp(logpost, axis=1, keepdims=True))
-    S = _weighted_scatter(dataset.X, model.means, P)
     return GradientWorkspace(log_dens=ld, proj_vars=pv, posteriors=P,
-                             scatter_by_class=S, clamp=clamp)
+                             diffs=Z[:, None, :] - M[None, :, :], clamp=clamp)
 
 
-def _weighted_scatter(X, means, W):
-    """S_k = sum_i W_ik (x_i - mu_k)(x_i - mu_k)' for every class."""
-    K, p = means.shape
-    S = np.empty((K, p, p))
-    for k in range(K):
-        D = X - means[k]
-        S[k] = D.T @ (D * W[:, k, None])
-    return S
+def grad_weighted_log_densities(X, V, means, covariances, proj_vars, diffs, W):
+    """Gradient of ``sum_ik W_ik log phi_k(V'x_i)`` with respect to ``V``.
 
-
-def _grad_weighted_logdens(V, covariances, proj_vars, S, col_mass):
-    """Gradient of ``sum_ik W_ik log phi_k(V'x_i)`` given its scatters.
-
-    ``S[k]`` and ``col_mass[k]`` are ``sum_i W_ik (x_i-mu_k)(x_i-mu_k)'``
-    and ``sum_i W_ik``. Column j accumulates, over classes,
-    ``(1/s_kj) [ (v_j'S_k v_j / s_kj - m_k) Sigma_k - S_k ] v_j``.
+    ``proj_vars[k, j] = s_kj = v_j' Sigma_k v_j`` and ``diffs[i, k, j] =
+    v_j'(x_i - mu_k)``; ``W`` may be negative. Column j sums, over k,
+    ``(1/s_kj) [ (v_j'S_k v_j / s_kj - sum_i W_ik) Sigma_k - S_k ] v_j``
+    for the ``W``-weighted scatters ``S_k``, which enter only through the
+    scatter-free identities in the module docstring: O(K n p p') work
+    instead of the O(K n p^2) of forming them.
     """
     G = np.zeros_like(V)
     for k in range(covariances.shape[0]):
-        s = proj_vars[k]                                   # (p',)
-        a = diag_congruence(V, S[k])                       # v_j' S_k v_j
-        coef = (a / s - col_mass[k]) / s
-        G += (covariances[k] @ V) * coef[None, :] - (S[k] @ V) / s[None, :]
+        D = diffs[:, k, :]                                 # (n, p')
+        WD = D * W[:, k, None]
+        SV = X.T @ WD - np.outer(means[k], WD.sum(axis=0))  # S_k V
+        s = proj_vars[k]
+        coef = (np.einsum("ij,ij->j", WD, D) / s - W[:, k].sum()) / s
+        G += (covariances[k] @ V) * coef[None, :] - SV / s[None, :]
     return G
 
 
@@ -246,16 +291,21 @@ def grad_ell2(dataset: Dataset, V, model: GaussianClassModel,
               workspace: GradientWorkspace | None = None):
     """Gradient of :func:`ell2`.
 
-    Column j is ``sum_k (1/s_kj) [ (v_j'S_k(V)v_j / s_kj -
-    sum_i p_ik) Sigma_k - S_k(V) ] v_j`` with the posterior-weighted
-    scatters ``S_k(V)`` taken from ``workspace`` (built once per
-    evaluation when not supplied).
+    It equals the gradient of ``sum_ik p_ik log phi_k(V'x_i)`` with the
+    posteriors ``p`` held fixed, so column j is
+    ``sum_k (1/s_kj) [ (v_j'S_k v_j / s_kj - sum_i p_ik) Sigma_k -
+    S_k ] v_j`` for the posterior-weighted scatters ``S_k``. Those are
+    never formed: ``S_k V = sum_i p_ik (x_i - mu_k) D_ik'`` and
+    ``v_j'S_k v_j = sum_i p_ik D_ikj^2`` come from the projected
+    differences ``D`` in ``workspace`` (built once per evaluation when not
+    supplied). The kernel is linear in the weights, which the clustering
+    gradient relies on.
     """
     V = check_projection(V, model.p)
     ws = workspace if workspace is not None else build_workspace(dataset, V, model)
-    mass = ws.posteriors.sum(axis=0)
-    return _grad_weighted_logdens(V, model.covariances, ws.proj_vars,
-                                  ws.scatter_by_class, mass)
+    return grad_weighted_log_densities(dataset.X, V, model.means,
+                                       model.covariances, ws.proj_vars,
+                                       ws.diffs, ws.posteriors)
 
 
 def grad_objective(dataset: Dataset, V, model: GaussianClassModel,

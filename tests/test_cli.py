@@ -12,7 +12,7 @@ from opgd.cli import (
     write_manifest,
 )
 from opgd.classifier import fit_opgd, lda_fit, rda_fit, save_fit
-from opgd.clustering import ClusterConfig, fit_gmm_em
+from opgd.clustering import ClusterConfig, GmmModel, fit_gmm_em
 from opgd.core import ConfigError, DataError, Dataset
 from opgd.optimizer import OptimConfig
 
@@ -115,7 +115,6 @@ class TestManifest:
         m1 = make_manifest("fit", "d.csv", 3, dim=2, method="opgd")
         m2 = make_manifest("fit", "d.csv", 3, method="opgd", dim=2)
         assert m1.manifest_id == m2.manifest_id
-        assert m1.timestamp != 0.0
 
     def test_id_changes_with_params(self):
         m1 = make_manifest("fit", "d.csv", 3, dim=2)
@@ -133,7 +132,6 @@ class TestManifest:
         path = tmp_path / "run.manifest"
         write_manifest(m, str(path))
         text = path.read_text()
-        assert str(m.timestamp) not in text
         assert f"id\t{m.manifest_id}" in text
 
 
@@ -268,6 +266,33 @@ class TestCommands:
                    "--clusters", "3", "--dim", "1",
                    "--init-gmm", out1 + ".gmm", "--out", out2])
         assert rc == 0
+
+    @staticmethod
+    def _cluster_from_mixture(tmp_path, first_cov_diag):
+        """Cluster 3-d blobs from a mixture file whose first component
+        has covariance diag(first_cov_diag)."""
+        data = _blob_csv(tmp_path / "d.csv", seed=4, extra_cols=1)
+        gmm = GmmModel(weights=np.full(3, 1.0 / 3.0),
+                       means=np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0],
+                                       [0.0, 4.0, 0.0]]),
+                       covariances=np.stack([np.diag(first_cov_diag),
+                                             np.eye(3), np.eye(3)]))
+        init = _write(tmp_path / "init.gmm", serialize_model(gmm, "0" * 16))
+        return main(["cluster", "--data", data, "--labels", "y",
+                     "--clusters", "3", "--dim", "2", "--init-gmm", init,
+                     "--out", str(tmp_path / "clu.tsv")])
+
+    def test_cluster_singular_initial_covariance_gets_ridge(self, tmp_path):
+        with pytest.warns(UserWarning, match="singular covariance"):
+            assert self._cluster_from_mixture(tmp_path, [1.0, 1.0, 0.0]) == 0
+
+    def test_cluster_indefinite_initial_covariance_is_numerical_error(
+            self, tmp_path, capsys):
+        with pytest.warns(UserWarning, match="singular covariance"):
+            rc = self._cluster_from_mixture(tmp_path, [1.0, -1.0, 1.0])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_evaluate_split_table(self, tmp_path):
         data = _blob_csv(tmp_path / "d.csv", seed=5, n_per=60, extra_cols=1)

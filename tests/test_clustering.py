@@ -58,7 +58,7 @@ def _fd_gradient(fn, V, h=1e-6):
 class TestClusterConfig:
     def test_defaults(self):
         cfg = ClusterConfig()
-        assert cfg.lam is None and cfg.pca_threshold is None
+        assert cfg.lam is None
 
     @pytest.mark.parametrize(
         "kw",
@@ -67,8 +67,6 @@ class TestClusterConfig:
             {"em_max_iters": 0},
             {"em_tol": 0.0},
             {"cov_floor": 0.0},
-            {"pca_threshold": 0.0},
-            {"pca_threshold": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -246,8 +244,9 @@ class TestPcaPrefilter:
         assert np.all(np.diff(v) <= 1e-12)
 
     def test_bad_threshold(self):
-        with pytest.raises(ConfigError):
-            pca_prefilter(np.eye(3), 0.0)
+        for threshold in (0.0, 1.5):
+            with pytest.raises(ConfigError):
+                pca_prefilter(np.eye(3), threshold)
 
     def test_collinear_pair_reduced(self):
         """A 0.9999-correlated pair loses its difference direction."""

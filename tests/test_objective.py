@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from opgd.core import Dataset, estimate_class_model
+from opgd.clustering import GmmModel, grad_cluster_objective
+from opgd.core import Dataset, diag_congruence, estimate_class_model
 from opgd.objective import (
     ClampStats,
     classification_log_likelihood,
@@ -15,6 +17,7 @@ from opgd.objective import (
     grad_ell2,
     grad_log_density_projected,
     grad_objective,
+    grad_weighted_log_densities,
     log_densities,
     log_density_projected,
     posteriors,
@@ -189,3 +192,85 @@ class TestGradients:
         model = estimate_class_model(ds)
         V = rng.standard_normal((4, 2))
         np.testing.assert_allclose(grad_objective(ds, V, model), 0.0, atol=1e-10)
+
+
+# Reference for the scatter-free kernel: the dense formulation it
+# replaced, which forms every p x p weighted scatter S_k explicitly.
+
+def _weighted_scatter(X, means, W):
+    """S_k = sum_i W_ik (x_i - mu_k)(x_i - mu_k)' for every class."""
+    K, p = means.shape
+    S = np.empty((K, p, p))
+    for k in range(K):
+        D = X - means[k]
+        S[k] = D.T @ (D * W[:, k, None])
+    return S
+
+
+def _scatter_grad(X, V, means, covariances, W):
+    """Gradient of sum_ik W_ik log phi_k(V'x_i) from the dense scatters:
+    column j sums (1/s_kj) [(v_j'S_k v_j / s_kj - m_k) Sigma_k - S_k] v_j."""
+    proj_vars = projected_variances(V, covariances)
+    S = _weighted_scatter(X, means, W)
+    col_mass = W.sum(axis=0)
+    G = np.zeros_like(V)
+    for k in range(covariances.shape[0]):
+        s = proj_vars[k]
+        coef = (diag_congruence(V, S[k]) / s - col_mass[k]) / s
+        G += (covariances[k] @ V) * coef[None, :] - (S[k] @ V) / s[None, :]
+    return G
+
+
+def _mixture_case(seed, n, p, K, dim):
+    """Random points, means, PD covariances, projection, and the
+    posteriors and hard (argmax) assignments under equal weights."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p)) * 2.0
+    means = rng.normal(scale=2.0, size=(K, p))
+    A = rng.standard_normal((K, p, p))
+    covs = A @ A.transpose(0, 2, 1) / p + np.eye(p)
+    V = rng.standard_normal((p, dim))
+    joint = log_densities(X, V, means, covs)
+    post = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
+    hard = np.zeros_like(post)
+    hard[np.arange(n), np.argmax(joint, axis=1)] = 1.0
+    return X, V, means, covs, post, hard
+
+
+class TestGradientKernel:
+    @pytest.mark.parametrize("n, p, K, dim", [
+        (40, 5, 3, 2),
+        (40, 5, 3, 1),     # p' = 1
+        (40, 5, 3, 5),     # p' = p
+        (40, 5, 1, 2),     # one class
+        (6, 10, 3, 3),     # fewer points than dimensions
+    ])
+    @pytest.mark.parametrize("weights", ["posterior", "hard_minus_posterior"])
+    def test_matches_dense_scatter_reference(self, n, p, K, dim, weights):
+        X, V, means, covs, post, hard = _mixture_case(n + p + K + dim,
+                                                      n, p, K, dim)
+        W = post if weights == "posterior" else hard - post
+        diffs = (X @ V)[:, None, :] - (means @ V)[None, :, :]
+        got = grad_weighted_log_densities(
+            X, V, means, covs, projected_variances(V, covs), diffs, W)
+        np.testing.assert_allclose(got, _scatter_grad(X, V, means, covs, W),
+                                   rtol=1e-10)
+
+    def test_grad_ell2_is_posterior_weighted_kernel(self):
+        ds, model, V = _instance(11, n=40, p=6, K=3, dim=3)
+        ref = _scatter_grad(ds.X, V, model.means, model.covariances,
+                            posteriors(ds, V, model))
+        np.testing.assert_allclose(grad_ell2(ds, V, model), ref, rtol=1e-10)
+
+    def test_cluster_gradient_is_one_kernel_call(self):
+        """Hard minus posterior weights in one call equal the numerator
+        and denominator gradients taken apart."""
+        X, V, means, covs, post, hard = _mixture_case(12, 40, 5, 3, 2)
+        gmm = GmmModel(weights=np.full(3, 1.0 / 3.0), means=means,
+                       covariances=covs)
+        lam = 7.0
+        ref = _scatter_grad(X, V, means, covs, hard) \
+            - _scatter_grad(X, V, means, covs, post) \
+            - 4.0 * lam * V @ (V.T @ V - np.eye(2))
+        np.testing.assert_allclose(grad_cluster_objective(X, V, gmm, lam),
+                                   ref, rtol=1e-10)
