@@ -15,12 +15,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import ConfigError, Dataset, ScatterMatrices, check_projection, \
     compute_scatter, estimate_class_model, sphere, symmetrize
 from .objective import ClampStats, diag_gaussian_log_densities, \
-    full_gaussian_log_densities, projected_variances
+    full_gaussian_log_densities, projected_variances, row_logsumexp
 from .optimizer import OptimConfig, _normalize_columns, discriminant_directions, \
     init_projection, maximize, order_columns
 
@@ -40,7 +39,7 @@ def _as_matrix(X, p: int):
 
 def _posterior_predict(log_dens, priors):
     logpost = np.log(priors)[None, :] + log_dens
-    post = np.exp(logpost - logsumexp(logpost, axis=1, keepdims=True))
+    post = np.exp(logpost - row_logsumexp(logpost, keepdims=True))
     return np.argmax(post, axis=1) + 1, post
 
 

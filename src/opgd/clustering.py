@@ -20,14 +20,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import ConfigError, DataError, Dataset, check_projection, \
     estimate_class_model, scatter_from_responsibilities, symmetrize
 from .objective import classification_log_likelihood, \
-    diag_gaussian_log_densities, full_gaussian_log_densities, \
-    grad_objective, grad_weighted_log_densities, log_densities, \
-    projected_variances
+    diag_gaussian_log_densities, diff_log_densities, \
+    full_gaussian_log_densities, grad_objective, \
+    grad_weighted_log_densities, log_densities, projected_variances, \
+    row_logsumexp
 from .optimizer import OptimConfig, ascend, init_projection
 
 
@@ -163,7 +163,7 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
         # E-step
         ld = full_gaussian_log_densities(X, means, covs)
         joint = np.log(weights)[None, :] + ld
-        ll_per_point = logsumexp(joint, axis=1)
+        ll_per_point = row_logsumexp(joint)
         ll = float(ll_per_point.sum())
         trace.append(ll)
         R = np.exp(joint - ll_per_point[:, None])
@@ -182,7 +182,7 @@ def responsibilities(X, gmm: GmmModel):
     joint = np.log(gmm.weights)[None, :] + \
         full_gaussian_log_densities(np.asarray(X, dtype=float),
                                     gmm.means, gmm.covariances)
-    return np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
+    return np.exp(joint - row_logsumexp(joint, keepdims=True))
 
 
 def hard_labels(X, gmm: GmmModel):
@@ -201,7 +201,7 @@ def cluster_objective(X, V, gmm: GmmModel, lam: float) -> float:
     V = check_projection(V, gmm.p)
     joint = np.log(gmm.weights)[None, :] + \
         log_densities(X, V, gmm.means, gmm.covariances)
-    term1 = float((joint.max(axis=1) - logsumexp(joint, axis=1)).sum())
+    term1 = float((joint.max(axis=1) - row_logsumexp(joint)).sum())
     return term1 - lam * _penalty(V)
 
 
@@ -218,15 +218,14 @@ def grad_cluster_objective(X, V, gmm: GmmModel, lam: float):
     """
     X = np.asarray(X, dtype=float)
     V = check_projection(V, gmm.p)
-    joint = np.log(gmm.weights)[None, :] + \
-        log_densities(X, V, gmm.means, gmm.covariances)
-    post = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
+    pv = projected_variances(V, gmm.covariances)
+    diffs = (X @ V)[:, None, :] - (gmm.means @ V)[None, :, :]
+    joint = np.log(gmm.weights)[None, :] + diff_log_densities(diffs, pv)
+    post = np.exp(joint - row_logsumexp(joint, keepdims=True))
     hard = np.zeros_like(post)
     hard[np.arange(X.shape[0]), np.argmax(joint, axis=1)] = 1.0
-    diffs = (X @ V)[:, None, :] - (gmm.means @ V)[None, :, :]
-    G = grad_weighted_log_densities(
-        X, V, gmm.means, gmm.covariances,
-        projected_variances(V, gmm.covariances), diffs, hard - post)
+    G = grad_weighted_log_densities(X, V, gmm.means, gmm.covariances, pv,
+                                    diffs, hard - post)
     return G - 4.0 * lam * V @ (V.T @ V - np.eye(V.shape[1]))
 
 
@@ -303,7 +302,7 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
     for it in range(config.em_max_iters + 1):
         joint = np.log(weights)[None, :] + \
             diag_gaussian_log_densities(Z, means, variances)
-        ll_per_point = logsumexp(joint, axis=1)
+        ll_per_point = row_logsumexp(joint)
         ll = float(ll_per_point.sum())
         trace.append(ll)
         R = np.exp(joint - ll_per_point[:, None])

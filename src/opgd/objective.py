@@ -30,16 +30,30 @@ hard assignments minus the posteriors, in one call each.
 
 The diagonal and full-covariance Gaussian log-density routines here are
 the only ones in the package; the classifier and the mixture code call
-them too.
+them too. The full-covariance quadratic ``(z - mu_k)' Sigma_k^{-1}
+(z - mu_k)`` is ``||(Z - mu_k) L_k^{-T}||^2`` row by row for the
+Cholesky factor ``L_k``: one matrix product against the inverted factor
+per component.
+
+Every row-wise log-sum-exp in the package goes through
+:func:`row_logsumexp`, which does the arithmetic of
+``scipy.special.logsumexp`` (max shift, the largest term kept out of the
+sum and added through ``log1p``) in plain NumPy and gives the same
+results. scipy's array-API dispatch costs several times that arithmetic
+at the package's shapes, and the ascents take thousands of these sums.
+
+A :class:`GradientWorkspace` holds one evaluation of the supervised
+objective: the projected differences, posteriors and log-likelihood. The
+gradient at the same projection is built from it without evaluating the
+densities again.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import Dataset, GaussianClassModel, check_projection, symmetrize
 
@@ -81,42 +95,70 @@ def projected_variances(V, covariances, clamp: ClampStats | None = None):
     return pv
 
 
+def row_logsumexp(a, keepdims: bool = False):
+    """``log sum_k exp(a_ik)`` for each row of a 2-d array.
+
+    The arithmetic of ``scipy.special.logsumexp(a, axis=1)``: each row is
+    shifted by its max (by 0 when the max is not finite), and the max
+    term is left out of the sum and added back through ``log1p``, which
+    keeps ``a_iy - lse_i`` accurate when one term dominates. An all
+    ``-inf`` row gives ``-inf``, a row holding ``+inf`` gives ``inf``,
+    with no warning.
+    """
+    rows = np.arange(a.shape[0])
+    top = a.argmax(axis=1)
+    amax = a[rows, top][:, None]
+    with np.errstate(over="ignore"):
+        terms = np.exp(a - np.where(np.isfinite(amax), amax, 0.0))
+    terms[rows, top] = 0.0
+    out = np.log1p(terms.sum(axis=1, keepdims=True)) + amax
+    return out if keepdims else out[:, 0]
+
+
+def diff_log_densities(diffs, variances):
+    """``n x K`` diagonal-Gaussian log-densities from the differences
+    ``diffs[i, k] = z_i - means[k]``, shape ``(n, K, d)``."""
+    quad = np.einsum("ikj,kj->ik", diffs * diffs, 1.0 / variances)
+    const = -0.5 * diffs.shape[2] * LOG_2PI - 0.5 * np.log(variances).sum(axis=1)
+    return const[None, :] - 0.5 * quad
+
+
 def diag_gaussian_log_densities(Z, means, variances):
     """``n x K`` diagonal-Gaussian log-densities of the rows of ``Z``.
 
     Entry (i, k) is ``log N(z_i; means[k], diag(variances[k]))``.
     """
-    diff = Z[:, None, :] - means[None, :, :]     # (n, K, d)
-    quad = np.einsum("ikj,kj->ik", diff * diff, 1.0 / variances)
-    const = -0.5 * Z.shape[1] * LOG_2PI - 0.5 * np.log(variances).sum(axis=1)
-    return const[None, :] - 0.5 * quad
+    return diff_log_densities(Z[:, None, :] - means[None, :, :], variances)
 
 
 def full_gaussian_log_densities(Z, means, covariances):
-    """``n x K`` full-covariance Gaussian log-densities via Cholesky solves.
+    """``n x K`` full-covariance Gaussian log-densities via Cholesky.
 
-    A covariance that fails to factor gets a ridge of
-    1e-8 * trace/d on the diagonal, with a warning; one that still fails
-    (indefinite) raises ``LinAlgError``.
+    The quadratic is ``||(Z - mu_k) L^{-T}||^2`` for the lower factor
+    ``L`` of ``Sigma_k``, one matrix product per component. A covariance
+    that fails to factor gets a ridge of 1e-8 * trace/d on the diagonal,
+    with a warning; one that still fails (indefinite) raises
+    ``LinAlgError``.
     """
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg import cho_factor, solve_triangular
 
     n, d = Z.shape
     K = means.shape[0]
+    eye = np.eye(d)
     out = np.empty((n, K))
     for k in range(K):
         S = symmetrize(covariances[k])
         try:
-            chol = cho_factor(S, lower=True)
+            factor, _ = cho_factor(S, lower=True)
         except np.linalg.LinAlgError:
             ridge = 1e-8 * max(np.trace(S), 1.0) / d
             warnings.warn("singular covariance; adding ridge "
                           f"{ridge:.3e} to keep the discriminant defined")
-            chol = cho_factor(S + ridge * np.eye(d), lower=True)
-        logdet = 2.0 * np.log(np.diag(chol[0])).sum()
-        D = Z - means[k]
-        quad = np.einsum("ij,ji->i", D, cho_solve(chol, D.T))
-        out[:, k] = -0.5 * (d * LOG_2PI + logdet + quad)
+            factor, _ = cho_factor(S + ridge * eye, lower=True)
+        L = np.tril(factor)     # cho_factor leaves the upper triangle unset
+        Y = (Z - means[k]) @ solve_triangular(L, eye, lower=True).T
+        logdet = 2.0 * np.log(np.diag(L)).sum()
+        out[:, k] = -0.5 * (d * LOG_2PI + logdet + np.einsum("ij,ij->i", Y, Y))
     return out
 
 
@@ -161,33 +203,37 @@ def grad_log_density_projected(x, V, mean, cov):
 
 @dataclass
 class GradientWorkspace:
-    """Per-evaluation intermediates shared across gradient columns.
+    """One evaluation of the supervised objective at a projection.
 
     ``diffs[i, k, j]`` is the projected difference ``v_j'(x_i - mu_k)``,
-    formed once per evaluation; see :func:`grad_weighted_log_densities`.
+    formed once per evaluation; the log-densities, the posteriors and the
+    log-likelihood come from it, and so does the gradient (see
+    :func:`grad_weighted_log_densities`). ``log_likelihood`` is ``None``
+    for an unlabeled dataset.
     """
 
-    log_dens: np.ndarray          # (n, K)
     proj_vars: np.ndarray         # (K, p')
-    posteriors: np.ndarray        # (n, K)
     diffs: np.ndarray             # (n, K, p')
-    clamp: ClampStats = field(default_factory=ClampStats)
+    posteriors: np.ndarray        # (n, K)
+    log_likelihood: float | None
 
 
 def build_workspace(dataset: Dataset, V, model: GaussianClassModel,
                     clamp: ClampStats | None = None) -> GradientWorkspace:
-    """Evaluate densities, posteriors and projected differences for one
-    projection."""
+    """Evaluate the projected differences, posteriors and log-likelihood
+    at one projection, counting variance clamps into ``clamp``."""
     V = check_projection(V, model.p)
-    clamp = clamp if clamp is not None else ClampStats()
-    Z = dataset.X @ V
-    M = model.means @ V
     pv = projected_variances(V, model.covariances, clamp)
-    ld = diag_gaussian_log_densities(Z, M, pv)
-    logpost = np.log(model.priors)[None, :] + ld
-    P = np.exp(logpost - logsumexp(logpost, axis=1, keepdims=True))
-    return GradientWorkspace(log_dens=ld, proj_vars=pv, posteriors=P,
-                             diffs=Z[:, None, :] - M[None, :, :], clamp=clamp)
+    diffs = (dataset.X @ V)[:, None, :] - (model.means @ V)[None, :, :]
+    logpost = np.log(model.priors)[None, :] + diff_log_densities(diffs, pv)
+    lse = row_logsumexp(logpost, keepdims=True)
+    ll = None
+    if dataset.labels is not None:
+        own = logpost[np.arange(dataset.n), dataset.labels - 1]
+        ll = float(np.sum(own - lse[:, 0]))
+    return GradientWorkspace(proj_vars=pv, diffs=diffs,
+                             posteriors=np.exp(logpost - lse),
+                             log_likelihood=ll)
 
 
 def grad_weighted_log_densities(X, V, means, covariances, proj_vars, diffs, W):
@@ -198,17 +244,18 @@ def grad_weighted_log_densities(X, V, means, covariances, proj_vars, diffs, W):
     ``(1/s_kj) [ (v_j'S_k v_j / s_kj - sum_i W_ik) Sigma_k - S_k ] v_j``
     for the ``W``-weighted scatters ``S_k``, which enter only through the
     scatter-free identities in the module docstring: O(K n p p') work
-    instead of the O(K n p^2) of forming them.
+    instead of the O(K n p^2) of forming them. All K components share
+    one ``p x n`` by ``n x K p'`` product.
     """
-    G = np.zeros_like(V)
-    for k in range(covariances.shape[0]):
-        D = diffs[:, k, :]                                 # (n, p')
-        WD = D * W[:, k, None]
-        SV = X.T @ WD - np.outer(means[k], WD.sum(axis=0))  # S_k V
-        s = proj_vars[k]
-        coef = (np.einsum("ij,ij->j", WD, D) / s - W[:, k].sum()) / s
-        G += (covariances[k] @ V) * coef[None, :] - SV / s[None, :]
-    return G
+    n, K, d = diffs.shape
+    WD = diffs * W[:, :, None]                                   # (n, K, p')
+    XWD = (X.T @ WD.reshape(n, K * d)).reshape(-1, K, d)         # (p, K, p')
+    SV = XWD.transpose(1, 0, 2) \
+        - means[:, :, None] * WD.sum(axis=0)[:, None, :]        # S_k V
+    coef = (np.einsum("ikj,ikj->kj", WD, diffs) / proj_vars
+            - W.sum(axis=0)[:, None]) / proj_vars
+    return ((covariances @ V) * coef[:, None, :]
+            - SV / proj_vars[:, None, :]).sum(axis=0)
 
 
 def posteriors(dataset: Dataset, V, model: GaussianClassModel,
@@ -218,10 +265,7 @@ def posteriors(dataset: Dataset, V, model: GaussianClassModel,
     Rows sum to one; computed with a log-sum-exp shift, so the result is
     invariant to positive rescaling of any column of ``V``.
     """
-    V = check_projection(V, model.p)
-    ld = log_densities(dataset.X, V, model.means, model.covariances, clamp)
-    logpost = np.log(model.priors)[None, :] + ld
-    return np.exp(logpost - logsumexp(logpost, axis=1, keepdims=True))
+    return build_workspace(dataset, V, model, clamp).posteriors
 
 
 def _require_labels(dataset):
@@ -237,11 +281,7 @@ def classification_log_likelihood(dataset: Dataset, V, model: GaussianClassModel
     one on its own class. Equals ``sum_i log prior_{y_i} + ell1 - ell2``.
     """
     _require_labels(dataset)
-    V = check_projection(V, model.p)
-    ld = log_densities(dataset.X, V, model.means, model.covariances, clamp)
-    logpost = np.log(model.priors)[None, :] + ld
-    own = logpost[np.arange(dataset.n), dataset.labels - 1]
-    return float(np.sum(own - logsumexp(logpost, axis=1)))
+    return build_workspace(dataset, V, model, clamp).log_likelihood
 
 
 def ell1(dataset: Dataset, V, model: GaussianClassModel) -> float:
@@ -273,18 +313,21 @@ def ell2(dataset: Dataset, V, model: GaussianClassModel) -> float:
     """Log mixture-density sum, via per-observation log-sum-exp."""
     V = check_projection(V, model.p)
     ld = log_densities(dataset.X, V, model.means, model.covariances)
-    return float(logsumexp(np.log(model.priors)[None, :] + ld, axis=1).sum())
+    return float(row_logsumexp(np.log(model.priors)[None, :] + ld).sum())
 
 
-def grad_ell1(dataset: Dataset, V, model: GaussianClassModel):
-    """Gradient of :func:`ell1`: column j is -(sum_k n_k/s_kj Sigma_k) v_j."""
+def grad_ell1(dataset: Dataset, V, model: GaussianClassModel,
+              workspace: GradientWorkspace | None = None):
+    """Gradient of :func:`ell1`: column j is -(sum_k n_k/s_kj Sigma_k) v_j.
+
+    The projected variances ``s_kj`` come from ``workspace`` when given.
+    """
     _require_labels(dataset)
     V = check_projection(V, model.p)
-    pv = projected_variances(V, model.covariances)
-    G = np.zeros_like(V)
-    for k in range(model.K):
-        G -= (model.covariances[k] @ V) * (model.counts[k] / pv[k])[None, :]
-    return G
+    pv = workspace.proj_vars if workspace is not None \
+        else projected_variances(V, model.covariances)
+    return -((model.covariances @ V)
+             * (model.counts[:, None] / pv)[:, None, :]).sum(axis=0)
 
 
 def grad_ell2(dataset: Dataset, V, model: GaussianClassModel,
@@ -310,6 +353,10 @@ def grad_ell2(dataset: Dataset, V, model: GaussianClassModel,
 
 def grad_objective(dataset: Dataset, V, model: GaussianClassModel,
                    workspace: GradientWorkspace | None = None):
-    """Gradient of the classification log-likelihood (prior term is V-free)."""
+    """Gradient of the classification log-likelihood (prior term is V-free).
+
+    Both terms share one workspace, built here when not supplied.
+    """
     _require_labels(dataset)
-    return grad_ell1(dataset, V, model) - grad_ell2(dataset, V, model, workspace)
+    ws = workspace if workspace is not None else build_workspace(dataset, V, model)
+    return grad_ell1(dataset, V, model, ws) - grad_ell2(dataset, V, model, ws)

@@ -222,17 +222,32 @@ def maximize(dataset: Dataset, model: GaussianClassModel, V0,
              clamp: ClampStats | None = None):
     """Maximize the classification log-likelihood over projections.
 
+    Each value call builds a :class:`~opgd.objective.GradientWorkspace`
+    (projected variances, differences, posteriors, log-likelihood) and
+    keeps the last one. :func:`ascend` asks for the gradient only at the
+    point it just valued, so the gradient reuses that workspace instead
+    of evaluating the densities again; at any other point it builds its
+    own. An accepted point's clamps are therefore counted once.
+
     Returns ``(V, trace)``; see :func:`ascend` for the trace contract.
     """
+    if dataset.labels is None:
+        raise ValueError("a labeled dataset is required")
     config = config if config is not None else OptimConfig()
     V0 = check_projection(V0, model.p)
+    last = {}
 
     def value(V):
-        return classification_log_likelihood(dataset, V, model, clamp)
+        last["V"] = np.array(V, dtype=float)
+        last["ws"] = build_workspace(dataset, V, model, clamp)
+        return last["ws"].log_likelihood
 
     def grad(V):
-        ws = build_workspace(dataset, V, model, clamp)
-        return grad_ell1(dataset, V, model) - grad_ell2(dataset, V, model, ws)
+        if "V" in last and np.array_equal(V, last["V"]):
+            ws = last["ws"]
+        else:
+            ws = build_workspace(dataset, V, model, clamp)
+        return grad_ell1(dataset, V, model, ws) - grad_ell2(dataset, V, model, ws)
 
     return ascend(value, grad, V0, config, scale=float(dataset.n))
 

@@ -349,6 +349,21 @@ class TestCommands:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["fit", "--dim", "2"],
+        ["evaluate", "--method", "lda", "--max-iters", "20"],
+    ])
+    def test_output_in_missing_directory_is_config_error(
+            self, tmp_path, capsys, command):
+        data = _blob_csv(tmp_path / "d.csv", seed=9)
+        out = str(tmp_path / "no" / "such" / "x")
+        rc = main([command[0], "--data", data, "--labels", "y",
+                   "--out", out] + command[1:])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["fit", "--data", str(tmp_path / "absent.csv"),
                    "--labels", "y", "--out", str(tmp_path / "m.opgd")])

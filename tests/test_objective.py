@@ -1,5 +1,7 @@
 """Tests for the projected-Gaussian likelihood, its pieces and gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -9,10 +11,12 @@ from opgd.clustering import GmmModel, grad_cluster_objective
 from opgd.core import Dataset, diag_congruence, estimate_class_model
 from opgd.objective import (
     ClampStats,
+    build_workspace,
     classification_log_likelihood,
     ell1,
     ell1_direct,
     ell2,
+    full_gaussian_log_densities,
     grad_ell1,
     grad_ell2,
     grad_log_density_projected,
@@ -22,6 +26,7 @@ from opgd.objective import (
     log_density_projected,
     posteriors,
     projected_variances,
+    row_logsumexp,
 )
 
 
@@ -100,6 +105,117 @@ class TestLogDensities:
         np.testing.assert_allclose(G, G_fd, rtol=1e-6, atol=1e-8)
 
 
+class TestRowLogsumexp:
+    """Against ``scipy.special.logsumexp``, the oracle it replaces."""
+
+    @staticmethod
+    def _quiet(a, **kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return row_logsumexp(a, **kw)
+
+    def test_random_rows_up_to_1e3(self):
+        rng = np.random.default_rng(0)
+        a = rng.uniform(-1e3, 1e3, size=(200, 7))
+        a[:50] *= rng.uniform(0.0, 1e-3, size=(50, 1))   # some small rows
+        np.testing.assert_allclose(self._quiet(a), logsumexp(a, axis=1),
+                                   rtol=1e-13)
+
+    def test_single_column(self):
+        a = np.random.default_rng(1).normal(scale=100.0, size=(30, 1))
+        np.testing.assert_allclose(self._quiet(a), logsumexp(a, axis=1),
+                                   rtol=1e-13)
+
+    def test_keepdims(self):
+        a = np.random.default_rng(2).normal(scale=50.0, size=(20, 4))
+        got = self._quiet(a, keepdims=True)
+        assert got.shape == (20, 1)
+        np.testing.assert_allclose(
+            got, logsumexp(a, axis=1, keepdims=True), rtol=1e-13)
+
+    def test_dominant_term_kept_accurate(self):
+        """``a_iy - lse_i`` keeps the small terms a plain ``log`` of the
+        shifted sum rounds away."""
+        a = np.array([[0.0, -40.0], [5.0, -30.0]])
+        np.testing.assert_allclose(a[:, 0] - self._quiet(a),
+                                   a[:, 0] - logsumexp(a, axis=1), rtol=1e-13)
+        assert a[0, 0] - self._quiet(a)[0] < 0.0
+
+    def test_infinite_rows(self):
+        a = np.array([[-np.inf, -np.inf, -np.inf],
+                      [1.0, np.inf, 800.0],
+                      [-np.inf, 2.0, 3.0]])
+        got = self._quiet(a)
+        assert got[0] == -np.inf
+        assert got[1] == np.inf
+        np.testing.assert_allclose(got[2], logsumexp(a[2]), rtol=1e-13)
+
+
+class TestFullGaussianLogDensities:
+    """Against ``scipy.stats.multivariate_normal.logpdf``."""
+
+    @staticmethod
+    def _reference(Z, means, covs):
+        return np.column_stack([
+            multivariate_normal.logpdf(Z, mean=m, cov=S)
+            for m, S in zip(means, covs)])
+
+    @staticmethod
+    def _spd(rng, d, cond=None):
+        Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        w = np.logspace(0.0, -np.log10(cond), d) if cond \
+            else rng.uniform(0.5, 3.0, d)
+        return (Q * w) @ Q.T
+
+    def test_one_dimension(self):
+        rng = np.random.default_rng(0)
+        Z = rng.standard_normal((25, 1))
+        means = rng.standard_normal((3, 1))
+        covs = rng.uniform(0.1, 4.0, size=(3, 1, 1))
+        np.testing.assert_allclose(full_gaussian_log_densities(Z, means, covs),
+                                   self._reference(Z, means, covs), rtol=1e-10)
+
+    def test_twenty_dimensions_five_components(self):
+        rng = np.random.default_rng(1)
+        Z = rng.standard_normal((300, 20)) * 2.0
+        means = rng.standard_normal((5, 20))
+        covs = np.stack([self._spd(rng, 20) for _ in range(5)])
+        np.testing.assert_allclose(full_gaussian_log_densities(Z, means, covs),
+                                   self._reference(Z, means, covs), rtol=1e-10)
+
+    def test_ill_conditioned_covariance(self):
+        rng = np.random.default_rng(2)
+        S = self._spd(rng, 6, cond=1e8)
+        assert np.linalg.cond(S) == pytest.approx(1e8, rel=1e-3)
+        Z = rng.multivariate_normal(np.zeros(6), S, size=50)
+        means, covs = np.zeros((1, 6)), S[None]
+        np.testing.assert_allclose(full_gaussian_log_densities(Z, means, covs),
+                                   self._reference(Z, means, covs), rtol=1e-10)
+
+    def test_singular_covariance_gets_ridge(self):
+        S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        ridge = 1e-8 * np.trace(S) / 3
+        Z = np.random.default_rng(3).standard_normal((10, 3))
+        means = np.zeros((1, 3))
+        with pytest.warns(UserWarning, match="singular covariance"):
+            got = full_gaussian_log_densities(Z, means, S[None])
+        ridged = (S + ridge * np.eye(3))[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(
+                got, full_gaussian_log_densities(Z, means, ridged))
+        # the ridged covariance has condition number ~1e8 and a quadratic
+        # of order 1e8, so scipy's eigendecomposition agrees only to ~1e-7
+        np.testing.assert_allclose(got, self._reference(Z, means, ridged),
+                                   rtol=1e-6)
+
+    def test_indefinite_covariance_raises(self):
+        with pytest.warns(UserWarning, match="singular covariance"), \
+                pytest.raises(np.linalg.LinAlgError):
+            full_gaussian_log_densities(np.zeros((2, 3)), np.zeros((1, 3)),
+                                        np.diag([1.0, -1.0, 1.0])[None])
+
+
 class TestDecomposition:
     def test_log_likelihood_splits_into_three_terms(self):
         """l = sum log prior + l1 - l2 for the observed labels."""
@@ -125,6 +241,29 @@ class TestDecomposition:
         model = estimate_class_model(ds)
         V = rng.standard_normal((3, 2))
         assert classification_log_likelihood(ds, V, model) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestWorkspace:
+    def test_pieces_match_their_definitions(self):
+        ds, model, V = _instance(13, n=40, p=5, K=3, dim=2)
+        ws = build_workspace(ds, V, model)
+        logpost = np.log(model.priors)[None, :] + \
+            log_densities(ds.X, V, model.means, model.covariances)
+        post = np.exp(logpost - logsumexp(logpost, axis=1, keepdims=True))
+        np.testing.assert_allclose(ws.posteriors, post, rtol=1e-13)
+        np.testing.assert_allclose(
+            ws.log_likelihood,
+            np.log(post[np.arange(ds.n), ds.labels - 1]).sum(), rtol=1e-12)
+        np.testing.assert_array_equal(
+            ws.diffs, (ds.X @ V)[:, None, :] - (model.means @ V)[None, :, :])
+        np.testing.assert_array_equal(
+            ws.proj_vars, projected_variances(V, model.covariances))
+
+    def test_unlabeled_dataset_has_no_log_likelihood(self):
+        ds, model, V = _instance(14)
+        ws = build_workspace(Dataset(X=ds.X), V, model)
+        assert ws.log_likelihood is None
+        np.testing.assert_allclose(ws.posteriors.sum(axis=1), 1.0)
 
 
 class TestPosteriors:
@@ -167,6 +306,17 @@ class TestGradients:
             G = grad_ell1(ds, V, model)
             G_fd = _fd_gradient(lambda W: ell1(ds, W, model), V)
             np.testing.assert_allclose(G, G_fd, rtol=1e-5, atol=1e-7)
+
+    def test_ell1_gradient_matches_per_class_sum(self):
+        """The batched form against the per-class sum it replaces, with
+        the projected variances read from a workspace."""
+        ds, model, V = _instance(15, n=30, p=6, K=4, dim=3)
+        pv = projected_variances(V, model.covariances)
+        ref = -sum((model.covariances[k] @ V) * (model.counts[k] / pv[k])
+                   for k in range(model.K))
+        np.testing.assert_allclose(
+            grad_ell1(ds, V, model, build_workspace(ds, V, model)), ref,
+            rtol=1e-13)
 
     def test_ell2_gradient(self):
         for seed in range(5):

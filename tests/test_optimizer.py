@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from opgd import objective, optimizer
 from opgd.core import ConfigError, Dataset, compute_scatter, estimate_class_model
-from opgd.objective import classification_log_likelihood
+from opgd.objective import classification_log_likelihood, grad_objective
 from opgd.optimizer import (
     OptimConfig,
     _real_basis_from_eig,
@@ -218,6 +219,80 @@ class TestMaximize:
             V0 = r.standard_normal((4, 2))
             _, trace = maximize(ds, model, V0, OptimConfig(max_iters=60))
             assert np.all(np.diff(trace) >= -1e-10)
+
+
+def _counting_ascend(monkeypatch, counts, probe=None):
+    """Patch ``optimizer.ascend`` to count the value and gradient calls
+    ``maximize`` makes; ``probe(value_fn, grad_fn)`` runs afterwards."""
+    real = optimizer.ascend
+
+    def ascend(value_fn, grad_fn, *args, **kwargs):
+        def value(V):
+            counts["value"] += 1
+            return value_fn(V)
+
+        def grad(V):
+            counts["grad"] += 1
+            return grad_fn(V)
+
+        out = real(value, grad, *args, **kwargs)
+        if probe is not None:
+            probe(value_fn, grad_fn)
+        return out
+
+    monkeypatch.setattr(optimizer, "ascend", ascend)
+
+
+def _fused_case(seed=9):
+    r = np.random.default_rng(seed)
+    X = r.standard_normal((60, 4)) * [1.0, 2.0, 1.0, 0.5]
+    y = r.integers(1, 4, size=60)
+    X[:, 0] += y
+    ds = Dataset(X=X, labels=y)
+    return ds, estimate_class_model(ds), r.standard_normal((4, 2))
+
+
+class TestFusedMaximize:
+    """``maximize`` values and differentiates from one workspace."""
+
+    def test_matches_plain_ascent(self):
+        ds, model, V0 = _fused_case()
+        config = OptimConfig(max_iters=80)
+        V, trace = maximize(ds, model, V0, config)
+        V_ref, trace_ref = ascend(
+            lambda M: classification_log_likelihood(ds, M, model),
+            lambda M: grad_objective(ds, M, model), V0, config,
+            scale=float(ds.n))
+        assert len(trace) == len(trace_ref) > 2
+        np.testing.assert_allclose(trace, trace_ref, rtol=1e-12)
+        np.testing.assert_allclose(V, V_ref, rtol=1e-12)
+
+    def test_one_density_evaluation_per_value_call(self, monkeypatch):
+        counts = {"value": 0, "grad": 0, "densities": 0}
+        real = objective.diff_log_densities
+
+        def densities(*args):
+            counts["densities"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(objective, "diff_log_densities", densities)
+        _counting_ascend(monkeypatch, counts)
+        ds, model, V0 = _fused_case()
+        maximize(ds, model, V0, OptimConfig(max_iters=40))
+        assert counts["grad"] > 10
+        assert counts["densities"] == counts["value"]
+
+    def test_gradient_away_from_last_value_builds_its_own(self, monkeypatch):
+        ds, model, V0 = _fused_case()
+        got = {}
+
+        def probe(value_fn, grad_fn):
+            value_fn(V0 + 0.5)
+            got["G"] = grad_fn(V0)
+
+        _counting_ascend(monkeypatch, {"value": 0, "grad": 0}, probe)
+        maximize(ds, model, V0, OptimConfig(max_iters=5))
+        np.testing.assert_array_equal(got["G"], grad_objective(ds, V0, model))
 
 
 class TestOrderColumns:
