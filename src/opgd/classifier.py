@@ -86,7 +86,7 @@ def fit_opgd(train: Dataset, dim: int, config: OptimConfig | None = None,
     """Fit the projected Gaussian classifier.
 
     Pipeline: class-moment estimation, warm start (skipped when ``V0``
-    is supplied), monotone gradient ascent, unit-norm column rescaling
+    is supplied), monotone L-BFGS ascent, unit-norm column rescaling
     (the objective is invariant to positive column scaling), greedy
     likelihood ordering of the columns, parameter freeze.
     """

@@ -280,8 +280,13 @@ def parse_model(text: str):
             block = lines[i + 1:i + 1 + nrows]
             if len(block) != nrows:
                 raise DataError(f"truncated array block for {name!r}")
-            A = np.array([[float(v) for v in r.split("\t")] for r in block])
-            arrays[name] = A.reshape(shape)
+            try:
+                arrays[name] = np.array(
+                    [[float(v) for v in r.split("\t")] for r in block]
+                ).reshape(shape)
+            except ValueError as exc:
+                raise DataError(
+                    f"malformed array block for {name!r}: {exc}") from exc
             i += nrows
         else:
             kv[key] = parts[1] if len(parts) > 1 else ""
@@ -305,6 +310,17 @@ def parse_model(text: str):
 
 _PREDICTORS = {"opgd": opgd_predict, "lda": lda_predict,
                "rda": rda_predict, "save": save_predict}
+
+
+def _read_model(path: str):
+    """:func:`parse_model` on the file at ``path``; an unreadable file is
+    a ``DataError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return parse_model(text)
 
 
 def _model_predict(model, X):
@@ -363,8 +379,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        model, _source_id = parse_model(fh.read())
+    model, _source_id = _read_model(args.model)
     ing = ingest_csv(args.data, label_column=args.labels, seed=args.seed)
     manifest = make_manifest("predict", args.data, args.seed,
                              model=args.model)
@@ -434,8 +449,7 @@ def cmd_cluster(args) -> int:
         X, _basis = pca_prefilter(X, args.pca_threshold)
     cc = ClusterConfig(lam=args.lam, seed=args.seed)
     if args.init_gmm:
-        with open(args.init_gmm, encoding="utf-8") as fh:
-            gmm, _ = parse_model(fh.read())
+        gmm, _ = _read_model(args.init_gmm)
         if not isinstance(gmm, GmmModel):
             raise ConfigError(f"{args.init_gmm} is not a gmm model file")
         if gmm.p != X.shape[1]:

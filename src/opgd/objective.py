@@ -268,6 +268,12 @@ def posteriors(dataset: Dataset, V, model: GaussianClassModel,
     return build_workspace(dataset, V, model, clamp).posteriors
 
 
+def _as_checked(V, model):
+    """``V`` as the ``p x p'`` array a workspace was built from, without
+    validating it again."""
+    return np.asarray(V, dtype=float).reshape(model.p, -1)
+
+
 def _require_labels(dataset):
     if dataset.labels is None:
         raise ValueError("a labeled dataset is required")
@@ -320,12 +326,17 @@ def grad_ell1(dataset: Dataset, V, model: GaussianClassModel,
               workspace: GradientWorkspace | None = None):
     """Gradient of :func:`ell1`: column j is -(sum_k n_k/s_kj Sigma_k) v_j.
 
-    The projected variances ``s_kj`` come from ``workspace`` when given.
+    The projected variances ``s_kj`` come from ``workspace`` when given;
+    ``V`` is then taken as the projection it was built from, which
+    :func:`build_workspace` validated.
     """
     _require_labels(dataset)
-    V = check_projection(V, model.p)
-    pv = workspace.proj_vars if workspace is not None \
-        else projected_variances(V, model.covariances)
+    if workspace is None:
+        V = check_projection(V, model.p)
+        pv = projected_variances(V, model.covariances)
+    else:
+        V = _as_checked(V, model)
+        pv = workspace.proj_vars
     return -((model.covariances @ V)
              * (model.counts[:, None] / pv)[:, None, :]).sum(axis=0)
 
@@ -341,11 +352,14 @@ def grad_ell2(dataset: Dataset, V, model: GaussianClassModel,
     never formed: ``S_k V = sum_i p_ik (x_i - mu_k) D_ik'`` and
     ``v_j'S_k v_j = sum_i p_ik D_ikj^2`` come from the projected
     differences ``D`` in ``workspace`` (built once per evaluation when not
-    supplied). The kernel is linear in the weights, which the clustering
-    gradient relies on.
+    supplied, else taken as built from a validated ``V``). The kernel is
+    linear in the weights, which the clustering gradient relies on.
     """
-    V = check_projection(V, model.p)
-    ws = workspace if workspace is not None else build_workspace(dataset, V, model)
+    if workspace is None:
+        V = check_projection(V, model.p)
+        ws = build_workspace(dataset, V, model)
+    else:
+        V, ws = _as_checked(V, model), workspace
     return grad_weighted_log_densities(dataset.X, V, model.means,
                                        model.covariances, ws.proj_vars,
                                        ws.diffs, ws.posteriors)

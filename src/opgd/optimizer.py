@@ -1,16 +1,21 @@
-"""Warm-start initialization, monotone gradient ascent, column ordering.
+"""Warm-start initialization, monotone quasi-Newton ascent, column ordering.
 
-The ascent routine is a plain Armijo backtracking scheme: a candidate
-step ``V + t G`` is accepted when it improves the objective by at least
-``armijo_c * t * ||G||_F^2``, otherwise ``t`` is shrunk. Accepted
-iterates therefore form a non-decreasing objective trace. The same
-routine drives both the supervised likelihood and the clustering
-objective.
+The ascent moves along a limited-memory BFGS direction (Liu & Nocedal
+1989; Nocedal & Wright, *Numerical Optimization*, ch. 7): the two-loop
+recursion applies the inverse-curvature estimate built from the last
+:data:`MEMORY` accepted steps to the gradient. A candidate ``V + t D`` is
+accepted when it improves the objective by at least
+``armijo_c * t * <G, D>``, otherwise ``t`` is shrunk, so accepted
+iterates form a non-decreasing objective trace. Without stored steps, or
+when the direction is not an ascent direction or its line search fails,
+the step is a plain gradient step. The same routine drives both the
+supervised likelihood and the clustering objective.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +28,17 @@ from .objective import ClampStats, build_workspace, classification_log_likelihoo
 # Line search gives up below this step size.
 MIN_STEP = 1e-14
 
+# Number of (step, gradient change) pairs the quasi-Newton direction keeps.
+MEMORY = 10
+
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Settings for initialization and gradient ascent.
+    """Settings for initialization and the ascent.
 
     ``grad_tol`` applies to the max-abs gradient entry divided by the
-    number of observations; ``epsilon_init`` and ``ridge_frac`` control
+    number of observations; ``init_step`` is the first trial step along
+    the gradient (quasi-Newton steps start at 1); ``epsilon_init`` and ``ridge_frac`` control
     the warm-start eigenproblem; ``seed`` only feeds the randomized
     last-resort initialization fallback.
     """
@@ -172,15 +181,50 @@ def init_projection(scatter: ScatterMatrices, dim: int,
     return _normalize_columns(V)
 
 
+def _two_loop(G, pairs):
+    """L-BFGS two-loop recursion: the direction ``H G``.
+
+    ``pairs`` holds ``(s, y, 1 / s'y)`` oldest first, with ``s`` a step
+    and ``y`` the gradient's decrease over it, so ``H`` estimates the
+    inverse curvature of the negated objective. The initial ``H`` is
+    ``s'y / y'y`` of the newest pair times the identity.
+    """
+    q = G.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * np.vdot(s, q)
+        q -= a * y
+        alphas.append(a)
+    _, y, rho = pairs[-1]
+    r = q / (rho * np.vdot(y, y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        r += (a - rho * np.vdot(y, r)) * s
+    return r
+
+
 def ascend(value_fn, grad_fn, V0, config: OptimConfig, scale: float = 1.0):
-    """Armijo backtracking gradient ascent from ``V0``.
+    """Monotone L-BFGS ascent with Armijo backtracking from ``V0``.
 
     ``value_fn``/``grad_fn`` map a projection to the objective and its
     gradient. ``scale`` divides the max-abs gradient entry before the
-    ``grad_tol`` comparison (callers pass n). Returns ``(V, trace)``
-    where ``trace`` are the accepted objective values, non-decreasing;
-    the returned ``V`` attains the highest value evaluated anywhere in
-    the search, including rejected candidates.
+    ``grad_tol`` comparison (callers pass n). Each iteration evaluates
+    one gradient, at the accepted point; line-search trials evaluate
+    values only.
+
+    The direction ``D`` comes from :func:`_two_loop` over the last
+    :data:`MEMORY` accepted steps; a step whose curvature ``s'y`` is not
+    positive is not stored. A quasi-Newton trial starts at ``t = 1``.
+    With no stored steps, when ``<G, D>`` is not positive, or when the
+    quasi-Newton line search fails, the memory is cleared and the step
+    is taken along the gradient from ``init_step``, doubled after each
+    accepted gradient step. Candidates are accepted at
+    ``f + armijo_c * t * <G, D>``; the ascent stops at the gradient
+    tolerance, after ``max_iters`` iterations, or when a gradient line
+    search fails.
+
+    Returns ``(V, trace)`` where ``trace`` are the accepted objective
+    values, non-decreasing; the returned ``V`` attains the highest value
+    evaluated anywhere in the search, including rejected candidates.
     """
     V = np.array(V0, dtype=float)
     f = float(value_fn(V))
@@ -189,27 +233,47 @@ def ascend(value_fn, grad_fn, V0, config: OptimConfig, scale: float = 1.0):
     trace = [f]
     best_V, best_f = V, f
     step = config.init_step
+    pairs = deque(maxlen=MEMORY)
+    last = None                 # (step taken, gradient before it)
     for _ in range(config.max_iters):
         G = grad_fn(V)
+        if last is not None:
+            s, G_old = last
+            y = G_old - G
+            sy = float(np.vdot(s, y))
+            if sy > 0:
+                pairs.append((s, y, 1.0 / sy))
         if np.abs(G).max() / scale <= config.grad_tol:
             break
-        gsq = float(np.sum(G * G))
-        t = step
+        tries = [(G, float(np.vdot(G, G)), step)]
+        if pairs:
+            D = _two_loop(G, pairs)
+            slope = float(np.vdot(G, D))
+            if slope > 0:
+                tries.insert(0, (D, slope, 1.0))
+            else:
+                pairs.clear()
         accepted = False
-        while t >= MIN_STEP:
-            cand = V + t * G
-            fc = float(value_fn(cand))
-            if np.isfinite(fc) and fc > best_f:
-                best_V, best_f = cand, fc
-            if np.isfinite(fc) and fc >= f + config.armijo_c * t * gsq:
-                accepted = True
+        for D, slope, t in tries:
+            while t >= MIN_STEP:
+                cand = V + t * D
+                fc = float(value_fn(cand))
+                if np.isfinite(fc) and fc > best_f:
+                    best_V, best_f = cand, fc
+                if np.isfinite(fc) and fc >= f + config.armijo_c * t * slope:
+                    accepted = True
+                    break
+                t *= config.backtrack_factor
+            if accepted:
                 break
-            t *= config.backtrack_factor
+            pairs.clear()       # retry along the gradient
         if not accepted:
             break
+        if D is G:
+            step = 2.0 * t
+        last = (cand - V, G)
         V, f = cand, fc
         trace.append(f)
-        step = 2.0 * t
     if best_f > trace[-1]:
         # a rejected candidate beat the last accepted iterate
         V, f = best_V, best_f

@@ -294,6 +294,44 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @staticmethod
+    def _run_with_model(tmp_path, command, model_path):
+        """``predict --model`` or ``cluster --init-gmm`` on 2-d blobs."""
+        data = _blob_csv(tmp_path / "d.csv", seed=10)
+        flag = ["--model"] if command == "predict" else \
+            ["--clusters", "3", "--dim", "1", "--init-gmm"]
+        return main([command, "--data", data, "--labels", "y"] + flag
+                    + [model_path, "--out", str(tmp_path / "out.tsv")])
+
+    @pytest.mark.parametrize("command", ["predict", "cluster"])
+    def test_missing_model_file_is_data_error(self, tmp_path, capsys,
+                                              command):
+        missing = str(tmp_path / "missing.opgd")
+        assert self._run_with_model(tmp_path, command, missing) == 3
+        err = capsys.readouterr().err
+        assert f"error: cannot read {missing}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["predict", "cluster"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda cells: cells[:-1],                 # a cell short
+        lambda cells: ["zzz"] + cells[1:],        # non-numeric
+    ], ids=["short_row", "non_numeric"])
+    def test_malformed_array_block_is_data_error(self, tmp_path, capsys,
+                                                 command, corrupt):
+        ds = _labeled_dataset(11)
+        model = lda_fit(ds, 2) if command == "predict" else \
+            fit_gmm_em(ds.X, 3, ClusterConfig(seed=11))
+        lines = serialize_model(model, "0" * 16).splitlines()
+        row = next(i for i, l in enumerate(lines)
+                   if l.startswith("field\t")) + 1
+        lines[row] = "\t".join(corrupt(lines[row].split("\t")))
+        path = _write(tmp_path / "bad.model", "\n".join(lines) + "\n")
+        assert self._run_with_model(tmp_path, command, path) == 3
+        err = capsys.readouterr().err
+        assert "error: malformed array block" in err
+        assert "Traceback" not in err
+
     def test_evaluate_split_table(self, tmp_path):
         data = _blob_csv(tmp_path / "d.csv", seed=5, n_per=60, extra_cols=1)
         out = str(tmp_path / "res.tsv")

@@ -1,4 +1,4 @@
-"""Tests for initialization, backtracking ascent and column ordering."""
+"""Tests for initialization, quasi-Newton ascent and column ordering."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from opgd import objective, optimizer
 from opgd.core import ConfigError, Dataset, compute_scatter, estimate_class_model
 from opgd.objective import classification_log_likelihood, grad_objective
 from opgd.optimizer import (
+    MIN_STEP,
     OptimConfig,
     _real_basis_from_eig,
     ascend,
@@ -143,6 +144,15 @@ class TestInitProjection:
         assert _cosine(V[:, 1], Q[:, -2]) > 1 - 1e-8
 
 
+def _off_ridge(G, D):
+    """``D`` plus a large component orthogonal to ``G``: still uphill at
+    ``t = 0``, but on a concave quadratic every trial step down to
+    ``MIN_STEP`` loses more across the ridge than it gains along it."""
+    u = np.ones_like(G)
+    u -= (np.vdot(u, G) / np.vdot(G, G)) * G
+    return D + 1e8 * u / np.linalg.norm(u)
+
+
 class TestAscend:
     def test_monotone_trace_on_quadratic(self):
         """Concave quadratic: trace non-decreasing, converges to optimum."""
@@ -186,6 +196,112 @@ class TestAscend:
         final = classification_log_likelihood(ds, V, model)
         assert final == pytest.approx(trace[-1], abs=1e-9)
         assert final >= trace[0] - 1e-10
+
+    def test_ill_conditioned_quadratic_within_bound(self):
+        """10-d concave quadratic with condition number 1e3: the optimum is
+        reached to 1e-6 within 100 iterations. Steepest ascent with the
+        same Armijo line search and step doubling is still more than 0.1
+        away after those 100 iterations."""
+        rng = np.random.default_rng(0)
+        Q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+        A = Q @ np.diag(np.logspace(0, -3, 10)) @ Q.T
+        V_opt = rng.standard_normal((10, 1))
+        b = A @ V_opt
+
+        def value(V):
+            return float(-(V * (A @ V)).sum() / 2 + (b * V).sum())
+
+        def grad(V):
+            return -A @ V + b
+
+        config = OptimConfig(max_iters=100, grad_tol=1e-10)
+        V, trace = ascend(value, grad, np.zeros((10, 1)), config)
+        assert np.abs(V - V_opt).max() <= 1e-6
+        assert np.all(np.diff(trace) >= 0.0)
+
+        V, f, step = np.zeros((10, 1)), value(np.zeros((10, 1))), 1.0
+        for _ in range(config.max_iters):
+            G = grad(V)
+            t = step
+            while t >= MIN_STEP and value(V + t * G) < \
+                    f + config.armijo_c * t * float(np.sum(G * G)):
+                t *= config.backtrack_factor
+            V = V + t * G
+            f, step = value(V), 2.0 * t
+        assert np.abs(V - V_opt).max() > 0.1
+
+    @pytest.mark.parametrize("spoil, searched", [
+        (lambda G, D: -D, False),
+        (_off_ridge, True),
+    ], ids=["non_ascent", "line_search_fails"])
+    def test_failed_direction_falls_back_to_gradient(self, monkeypatch,
+                                                     spoil, searched):
+        """A quasi-Newton direction that is not uphill (never searched),
+        or along which the line search fails, clears the memory, and the
+        step goes along the gradient instead. With positive-curvature
+        pairs a non-ascent direction comes only from round-off, so the
+        fourth direction is spoiled here to force both cases."""
+        real = optimizer._two_loop
+        seen = []
+
+        def two_loop(G, pairs):
+            seen.append(len(pairs))
+            D = real(G, pairs)
+            return spoil(G, D) if len(seen) == 4 else D
+
+        monkeypatch.setattr(optimizer, "_two_loop", two_loop)
+        A = np.diag([3.0, 1.0, 0.3])
+        b = np.array([[1.0], [-2.0], [0.5]])
+        valued, accepted = [], []
+
+        def value(V):
+            valued.append(V)
+            return float(-(V * (A @ V)).sum() / 2 + (b * V).sum())
+
+        def grad(V):
+            accepted.append((V, -A @ V + b, len(valued)))
+            return accepted[-1][1]
+
+        V, trace = ascend(value, grad, np.zeros((3, 1)),
+                          OptimConfig(max_iters=200, grad_tol=1e-12))
+        # the fourth direction came from four pairs; the next one from the
+        # single pair of the gradient step that replaced it
+        assert seen[3:5] == [4, 1]
+        (V4, G4, n4), (V5, _, _) = accepted[4:6]
+        assert _cosine(V5 - V4, G4) == pytest.approx(1.0, abs=1e-12)
+        first_trial_along_G = _cosine(valued[n4] - V4, G4) > 1 - 1e-12
+        assert first_trial_along_G != searched
+        assert np.all(np.diff(trace) >= 0.0)
+        np.testing.assert_allclose(V, np.linalg.solve(A, b), atol=1e-8)
+
+    def test_pair_without_positive_curvature_is_skipped(self, monkeypatch):
+        """``f = sum(v^2/2 - v^4/4)`` is convex near 0, so the first steps
+        from there have ``s'y <= 0``; no such pair reaches the direction."""
+        real = optimizer._two_loop
+        used = []
+
+        def two_loop(G, pairs):
+            used.extend(float(np.vdot(s, y)) for s, y, _ in pairs)
+            return real(G, pairs)
+
+        monkeypatch.setattr(optimizer, "_two_loop", two_loop)
+        accepted = []
+
+        def value(V):
+            return float((V ** 2 / 2 - V ** 4 / 4).sum())
+
+        def grad(V):
+            accepted.append((V, V - V ** 3))
+            return accepted[-1][1]
+
+        V0 = np.array([[0.05], [0.1], [-0.02]])
+        V, trace = ascend(value, grad, V0, OptimConfig(max_iters=100))
+        curvatures = [float(np.vdot(Vb - Va, Ga - Gb))
+                      for (Va, Ga), (Vb, Gb) in zip(accepted, accepted[1:])]
+        assert min(curvatures) <= 0.0 < max(curvatures)
+        assert used and min(used) > 0.0
+        assert np.all(np.diff(trace) >= 0.0)
+        np.testing.assert_allclose(np.abs(V), 1.0, atol=1e-6)
 
 
 class TestMaximize:
