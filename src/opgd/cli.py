@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -47,6 +48,12 @@ MANIFEST_VERSION = "opgd-manifest-v1"
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _fmt_rows(A) -> list[list[str]]:
+    """The ``repr`` of every entry of a 2-d array, row by row."""
+    rows = np.asarray(A, dtype=float).tolist()
+    return [list(map(repr, row)) for row in rows]
 
 
 def _atomic_write(path: str, text: str):
@@ -84,33 +91,91 @@ def _sniff_delimiter(header_line: str) -> str:
     return max(counts, key=counts.get) if max(counts.values()) else ","
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``, newlines translated to ``\\n``; a file
+    that cannot be opened or decoded is a ``DataError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _cells(path: str, lines: list[str], i: int, delim: str) -> list[str]:
+    """The cells of ``lines[i]`` as ``csv`` splits them; a quoted field
+    left open at the end of the line is a ``DataError``."""
+    reader = csv.reader((lines[i], ""), delimiter=delim)
+    cells = next(reader)
+    if reader.line_num > 1:
+        raise DataError(f"{path}: row {i + 1} has a quoted field that is "
+                        "not closed on its line")
+    return cells
+
+
+def _data_rows(lines: list[str], delim: str) -> list[int]:
+    """Indices of the lines after the header that have a cell that is
+    not whitespace. Only a line made of whitespace, delimiters and
+    quotes needs ``csv`` to decide."""
+    content = re.compile(f'[^\\s"{re.escape(delim)}]').search
+    return [i for i in range(1, len(lines)) if content(lines[i]) or any(
+        c.strip() for c in next(csv.reader([lines[i]], delimiter=delim), []))]
+
+
+def _is_number(cell: str) -> bool:
+    """Whether numpy's text reader takes ``cell`` as a float: ``float``
+    syntax once surrounding whitespace is stripped, in ASCII, without
+    ``_`` separators."""
+    s = cell.strip()
+    if not s.isascii() or "_" in s:
+        return False
+    try:
+        float(s)
+    except ValueError:
+        return False
+    return True
+
+
+def _name_fault(path: str, lines: list[str], keep: list[int], delim: str,
+                header: list[str], feature_idx: list[int]):
+    """Raise the ``DataError`` for the first data row the table reader
+    rejected: an open quoted field, a ragged row, or a cell that is not
+    a number, with its file line number and column."""
+    for i in keep:
+        row = _cells(path, lines, i, delim)
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i + 1} has {len(row)} fields, "
+                            f"expected {len(header)}")
+        for j in feature_idx:
+            if not _is_number(row[j]):
+                raise DataError(f"{path}: non-numeric value {row[j]!r} at "
+                                f"row {i + 1}, column {header[j]!r}")
+    raise DataError(f"{path}: the table could not be parsed")
+
+
 def ingest_csv(path: str, label_column: str | None = None,
                perturb_sd: float = 0.0, drop_constant: bool = False,
                seed: int = 0, group_column: str | None = None) -> IngestResult:
     """Load a delimited numeric table with a header row.
 
-    The label column (when named) is mapped to contiguous class ids
-    1..K, numerically when every value parses as a number, otherwise
-    lexically; original names are kept. Constant feature columns are
-    dropped when requested, then an optional i.i.d. Gaussian
-    perturbation with per-column sd ``perturb_sd * column_sd`` is
-    applied using ``seed``.
+    The text is UTF-8 with ``"`` quoting and no field spanning lines;
+    rows whose cells are all whitespace are skipped. numpy's C reader
+    parses the data rows in one call. The label column (when named) is
+    mapped to contiguous class ids 1..K, numerically when every value
+    parses as a number, otherwise lexically; original names are kept.
+    Constant feature columns are dropped when requested, then an
+    optional i.i.d. Gaussian perturbation with per-column sd
+    ``perturb_sd * column_sd`` is applied using ``seed``. Faults name
+    the file line number.
     """
     if perturb_sd < 0:
         raise ConfigError("perturb sd fraction must be non-negative")
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            first = fh.readline()
-            if not first.strip():
-                raise DataError(f"{path}: empty file")
-            delim = _sniff_delimiter(first)
-            fh.seek(0)
-            rows = list(csv.reader(fh, delimiter=delim))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    header = [h.strip() for h in rows[0]]
-    body = [r for r in rows[1:] if any(cell.strip() for cell in r)]
-    if not body:
+    lines = _read_text(path).split("\n")
+    if not lines[0].strip():
+        raise DataError(f"{path}: empty file")
+    delim = _sniff_delimiter(lines[0])
+    header = [h.strip() for h in _cells(path, lines, 0, delim)]
+    keep = _data_rows(lines, delim)
+    if not keep:
         raise DataError(f"{path}: no data rows")
 
     special = {}
@@ -123,27 +188,28 @@ def ingest_csv(path: str, label_column: str | None = None,
         special[role] = header.index(name)
     feature_idx = [j for j in range(len(header)) if j not in special.values()]
 
-    X = np.empty((len(body), len(feature_idx)))
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} fields, "
-                            f"expected {len(header)}")
-        for jj, j in enumerate(feature_idx):
-            try:
-                X[i, jj] = float(row[j])
-            except ValueError:
-                raise DataError(f"{path}: non-numeric value {row[j]!r} at "
-                                f"row {i + 2}, column {header[j]!r}") from None
+    # label and group cells become first-seen codes of their stripped text
+    codes = {j: {} for j in special.values()}
+    converters = {
+        j: (lambda s, seen=seen: seen.setdefault(s.strip(), len(seen)))
+        for j, seen in codes.items()}
+    try:
+        A = np.loadtxt([lines[i] for i in keep], delimiter=delim,
+                       comments=None, quotechar='"', dtype=float, ndmin=2,
+                       converters=converters)
+    except ValueError:
+        A = None
+    if A is None or A.shape != (len(keep), len(header)):
+        _name_fault(path, lines, keep, delim, header, feature_idx)
+    X = np.ascontiguousarray(A[:, feature_idx])
 
     feature_names = [header[j] for j in feature_idx]
     dropped: tuple[str, ...] = ()
     if drop_constant:
-        keep = [j for j in range(X.shape[1])
-                if X[:, j].max() > X[:, j].min()]
-        dropped = tuple(feature_names[j] for j in range(X.shape[1])
-                        if j not in keep)
-        X = X[:, keep]
-        feature_names = [feature_names[j] for j in keep]
+        varies = X.max(axis=0) > X.min(axis=0)
+        dropped = tuple(nm for nm, v in zip(feature_names, varies) if not v)
+        X = np.ascontiguousarray(X[:, varies])
+        feature_names = [nm for nm, v in zip(feature_names, varies) if v]
     if X.shape[1] == 0:
         raise DataError(f"{path}: no feature columns remain")
     if perturb_sd > 0:
@@ -153,25 +219,25 @@ def ingest_csv(path: str, label_column: str | None = None,
     labels = None
     label_names: tuple[str, ...] = ()
     if "label" in special:
-        raw = [row[special["label"]].strip() for row in body]
+        j = special["label"]
+        raw = list(codes[j])
         try:
-            numeric = [float(v) for v in raw]
-            keys = sorted(set(numeric))
-            first_name = {}
-            for v, s in zip(numeric, raw):
-                first_name.setdefault(v, s)
-            label_names = tuple(first_name[k] for k in keys)
-            ids = {k: c + 1 for c, k in enumerate(keys)}
-            labels = np.array([ids[v] for v in numeric], dtype=int)
+            values = [float(s) for s in raw]
         except ValueError:
-            keys = sorted(set(raw))
-            label_names = tuple(keys)
-            ids = {k: c + 1 for c, k in enumerate(keys)}
-            labels = np.array([ids[v] for v in raw], dtype=int)
+            values = raw
+        first_name = {}
+        for v, s in zip(values, raw):
+            first_name.setdefault(v, s)
+        keys = sorted(first_name)
+        label_names = tuple(first_name[k] for k in keys)
+        ids = {k: c + 1 for c, k in enumerate(keys)}
+        lut = np.array([ids[v] for v in values], dtype=int)
+        labels = lut[A[:, j].astype(int)]
 
     groups = None
     if "group" in special:
-        groups = np.array([row[special["group"]].strip() for row in body])
+        j = special["group"]
+        groups = np.array(list(codes[j]))[A[:, j].astype(int)]
 
     return IngestResult(dataset=Dataset(X, labels),
                         feature_names=tuple(feature_names),
@@ -252,8 +318,7 @@ def serialize_model(model, manifest_id: str = "") -> str:
         dims = "\t".join(str(d) for d in A.shape)
         lines.append(f"field\t{name}\t{A.ndim}\t{dims}")
         flat = A.reshape(-1, A.shape[-1]) if A.ndim > 1 else A.reshape(1, -1)
-        for row in flat:
-            lines.append("\t".join(_fmt(v) for v in row))
+        lines += ["\t".join(row) for row in _fmt_rows(flat)]
     return "\n".join(lines) + "\n"
 
 
@@ -315,12 +380,7 @@ _PREDICTORS = {"opgd": opgd_predict, "lda": lda_predict,
 def _read_model(path: str):
     """:func:`parse_model` on the file at ``path``; an unreadable file is
     a ``DataError`` naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return parse_model(text)
+    return parse_model(_read_text(path))
 
 
 def _model_predict(model, X):
@@ -386,8 +446,8 @@ def cmd_predict(args) -> int:
     pred, post = _model_predict(model, ing.dataset.X)
     names = model.label_names
     header = ["label"] + [f"p_{nm}" for nm in names]
-    rows = [[names[lab - 1]] + [_fmt(v) for v in prow]
-            for lab, prow in zip(pred, post)]
+    rows = [[names[lab - 1]] + prow
+            for lab, prow in zip(pred.tolist(), _fmt_rows(post))]
     _write_table(args.out, manifest.manifest_id, header, rows)
     write_manifest(manifest, args.out + ".manifest")
     print(f"manifest\t{manifest.manifest_id}")
@@ -421,13 +481,13 @@ def cmd_features(args) -> int:
         raise ConfigError("features supports methods opgd, lda, save")
     Z = ing.dataset.X @ V
     vcols = [f"v{j + 1}" for j in range(V.shape[1])]
-    rows = [[_fmt(v) for v in zrow] + [ing.label_names[t - 1]]
-            for zrow, t in zip(Z, ing.dataset.labels)]
+    rows = [zrow + [ing.label_names[t - 1]]
+            for zrow, t in zip(_fmt_rows(Z), ing.dataset.labels.tolist())]
     _write_table(args.out, manifest.manifest_id, vcols + ["label"], rows)
     _write_table(args.out + ".projection", manifest.manifest_id,
                  ["feature"] + vcols,
-                 [[ing.feature_names[i]] + [_fmt(v) for v in V[i]]
-                  for i in range(V.shape[0])])
+                 [[name] + vrow
+                  for name, vrow in zip(ing.feature_names, _fmt_rows(V))])
     write_manifest(manifest, args.out + ".manifest")
     print(f"manifest\t{manifest.manifest_id}")
     return 0
@@ -466,10 +526,10 @@ def cmd_cluster(args) -> int:
                  [[str(c)] for c in labels])
     _write_table(args.out + ".features", manifest.manifest_id,
                  vcols + ["cluster"],
-                 [[_fmt(v) for v in zrow] + [str(c)]
-                  for zrow, c in zip(Z, labels)])
+                 [zrow + [str(c)]
+                  for zrow, c in zip(_fmt_rows(Z), labels.tolist())])
     _write_table(args.out + ".projection", manifest.manifest_id,
-                 vcols, [[_fmt(v) for v in row] for row in V])
+                 vcols, _fmt_rows(V))
     _atomic_write(args.out + ".gmm",
                   serialize_model(gmm, manifest.manifest_id))
     metric_rows = []
@@ -492,10 +552,16 @@ def cmd_cluster(args) -> int:
 
 
 def _parse_grid(text: str, method: str):
-    vals = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip()]
+        if method != "rda":
+            vals = [int(v) for v in vals]
+    except (ValueError, OverflowError):
+        raise ConfigError(f"--grid must be a comma list of numbers, "
+                          f"got {text!r}") from None
     if not vals:
         raise ConfigError("empty --grid")
-    return vals if method == "rda" else [int(v) for v in vals]
+    return vals
 
 
 def cmd_evaluate(args) -> int:
@@ -525,8 +591,7 @@ def cmd_evaluate(args) -> int:
                 raise DataError("train and test label sets differ")
             test_X, test_labels = test_ing.dataset.X, test_ing.dataset.labels
     else:
-        ratios = tuple(float(r) for r in args.split.split(","))
-        plan = make_split(train.n, ratios, seed=args.seed)
+        plan = make_split(train.n, args.split.split(","), seed=args.seed)
         test_X, test_labels = train.X[plan.test], train.labels[plan.test]
 
     methods = [m.strip() for m in args.method.split(",") if m.strip()]

@@ -121,6 +121,8 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     if X.ndim != 2:
         raise DataError("X must be a 2-d array")
     n, p = X.shape
+    if K < 1:
+        raise ConfigError(f"need at least one component, got K={K}")
     if n < K:
         raise DataError(f"need at least K={K} observations, got {n}")
     rng = np.random.default_rng(config.seed)

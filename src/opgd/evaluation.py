@@ -127,9 +127,12 @@ def make_split(n: int, ratios=(0.5, 0.25, 0.25), seed: int = 0) -> SplitPlan:
     and validation sizes, remainder to test); every part must come out
     non-empty.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or \
-            abs(sum(ratios) - 1.0) > 1e-9:
+    try:
+        ratios = tuple(float(r) for r in ratios)
+    except ValueError:
+        raise ConfigError(f"ratios must be numbers, got {ratios!r}") from None
+    if len(ratios) != 3 or not all(r > 0 for r in ratios) or \
+            not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ConfigError("ratios must be three positive numbers summing to 1")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(round(ratios[0] * n))

@@ -4,9 +4,9 @@ The ascent moves along a limited-memory BFGS direction (Liu & Nocedal
 1989; Nocedal & Wright, *Numerical Optimization*, ch. 7): the two-loop
 recursion applies the inverse-curvature estimate built from the last
 :data:`MEMORY` accepted steps to the gradient. A candidate ``V + t D`` is
-accepted when it improves the objective by at least
+accepted when it improves the objective, by at least
 ``armijo_c * t * <G, D>``, otherwise ``t`` is shrunk, so accepted
-iterates form a non-decreasing objective trace. Without stored steps, or
+iterates form an increasing objective trace. Without stored steps, or
 when the direction is not an ascent direction or its line search fails,
 the step is a plain gradient step. The same routine drives both the
 supervised likelihood and the clustering objective.
@@ -217,14 +217,16 @@ def ascend(value_fn, grad_fn, V0, config: OptimConfig, scale: float = 1.0):
     With no stored steps, when ``<G, D>`` is not positive, or when the
     quasi-Newton line search fails, the memory is cleared and the step
     is taken along the gradient from ``init_step``, doubled after each
-    accepted gradient step. Candidates are accepted at
-    ``f + armijo_c * t * <G, D>``; the ascent stops at the gradient
-    tolerance, after ``max_iters`` iterations, or when a gradient line
-    search fails.
+    accepted gradient step. A candidate is accepted when its value
+    exceeds ``f`` and reaches ``f + armijo_c * t * <G, D>``, so a step
+    that gains nothing in floating point is a failed trial; the ascent
+    stops at the gradient tolerance, after ``max_iters`` iterations, or
+    when a gradient line search fails.
 
     Returns ``(V, trace)`` where ``trace`` are the accepted objective
-    values, non-decreasing; the returned ``V`` attains the highest value
-    evaluated anywhere in the search, including rejected candidates.
+    values, strictly increasing; the returned ``V`` attains the highest
+    value evaluated anywhere in the search, including rejected
+    candidates.
     """
     V = np.array(V0, dtype=float)
     f = float(value_fn(V))
@@ -260,7 +262,8 @@ def ascend(value_fn, grad_fn, V0, config: OptimConfig, scale: float = 1.0):
                 fc = float(value_fn(cand))
                 if np.isfinite(fc) and fc > best_f:
                     best_V, best_f = cand, fc
-                if np.isfinite(fc) and fc >= f + config.armijo_c * t * slope:
+                if np.isfinite(fc) and fc > f and \
+                        fc >= f + config.armijo_c * t * slope:
                     accepted = True
                     break
                 t *= config.backtrack_factor

@@ -402,6 +402,31 @@ class TestCommands:
         assert f"error: cannot write {out}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--method", "lda", "--grid", "x"],
+        ["evaluate", "--method", "opgd", "--grid", "inf"],
+        ["evaluate", "--method", "lda", "--split", "a,b,c"],
+        ["evaluate", "--method", "lda", "--split", "nan,nan,nan"],
+        ["cluster", "--clusters", "0"],
+    ], ids=["grid_word", "grid_inf", "split_words", "split_nan",
+            "zero_clusters"])
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, command):
+        data = _blob_csv(tmp_path / "d.csv", seed=4)
+        rc = main([command[0], "--data", data, "--labels", "y",
+                   "--out", str(tmp_path / "o.tsv")] + command[1:])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_undecodable_model_file_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "m.opgd"
+        model.write_bytes(b"opgd-model-v1\ntype\t\xff\n")
+        data = _blob_csv(tmp_path / "d.csv", seed=5)
+        rc = main(["predict", "--data", data, "--model", str(model),
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 3
+        assert f"error: cannot read {model}" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["fit", "--data", str(tmp_path / "absent.csv"),
                    "--labels", "y", "--out", str(tmp_path / "m.opgd")])

@@ -230,6 +230,30 @@ class TestAscend:
             f, step = value(V), 2.0 * t
         assert np.abs(V - V_opt).max() > 0.1
 
+    def test_zero_gain_step_is_a_stalled_line_search(self):
+        """Near the optimum of a 10-d concave quadratic, with a gradient
+        tolerance the round-off in the gradient cannot meet, a candidate
+        whose value equals ``f`` is a failed trial: the ascent stops as a
+        stalled line search before its cap instead of taking zero-gain
+        steps until then."""
+        rng = np.random.default_rng(1)
+        Q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+        A = Q @ np.diag(np.logspace(0, -3, 10)) @ Q.T
+        b = A @ rng.standard_normal((10, 1))
+        grads = []
+
+        def value(V):
+            return float(-(V * (A @ V)).sum() / 2 + (b * V).sum())
+
+        def grad(V):
+            grads.append(V)
+            return -A @ V + b
+
+        config = OptimConfig(max_iters=1000, grad_tol=1e-10)
+        _, trace = ascend(value, grad, np.zeros((10, 1)), config)
+        assert len(grads) < config.max_iters
+        assert np.all(np.diff(trace) > 0.0)
+
     @pytest.mark.parametrize("spoil, searched", [
         (lambda G, D: -D, False),
         (_off_ridge, True),
