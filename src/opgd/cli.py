@@ -167,8 +167,9 @@ def ingest_csv(path: str, label_column: str | None = None,
     ``perturb_sd * column_sd`` is applied using ``seed``. Faults name
     the file line number.
     """
-    if perturb_sd < 0:
-        raise ConfigError("perturb sd fraction must be non-negative")
+    if not (np.isfinite(perturb_sd) and perturb_sd >= 0):
+        raise ConfigError("perturb sd fraction must be a finite non-negative "
+                          f"number, got {perturb_sd!r}")
     lines = _read_text(path).split("\n")
     if not lines[0].strip():
         raise DataError(f"{path}: empty file")
@@ -322,6 +323,14 @@ def serialize_model(model, manifest_id: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(name: str, value):
+    """``value``, unless it holds a non-finite entry: then a
+    ``DataError`` naming the model field."""
+    if not np.all(np.isfinite(value)):
+        raise DataError(f"model field {name!r} holds non-finite values")
+    return value
+
+
 def parse_model(text: str):
     """Inverse of :func:`serialize_model`; returns (model, manifest id)."""
     lines = text.splitlines()
@@ -337,7 +346,7 @@ def parse_model(text: str):
         if key == "labels":
             label_names = tuple(parts[1:])
         elif key == "scalar":
-            kv[parts[1]] = float(parts[2])
+            kv[parts[1]] = _finite(parts[1], float(parts[2]))
         elif key == "field":
             name, ndim = parts[1], int(parts[2])
             shape = tuple(int(d) for d in parts[3:3 + ndim])
@@ -346,9 +355,9 @@ def parse_model(text: str):
             if len(block) != nrows:
                 raise DataError(f"truncated array block for {name!r}")
             try:
-                arrays[name] = np.array(
+                arrays[name] = _finite(name, np.array(
                     [[float(v) for v in r.split("\t")] for r in block]
-                ).reshape(shape)
+                ).reshape(shape))
             except ValueError as exc:
                 raise DataError(
                     f"malformed array block for {name!r}: {exc}") from exc
@@ -443,6 +452,9 @@ def cmd_predict(args) -> int:
     ing = ingest_csv(args.data, label_column=args.labels, seed=args.seed)
     manifest = make_manifest("predict", args.data, args.seed,
                              model=args.model)
+    if ing.dataset.p != model.p:
+        raise DataError(f"{args.data} has {ing.dataset.p} feature columns, "
+                        f"the model was fitted on {model.p}")
     pred, post = _model_predict(model, ing.dataset.X)
     names = model.label_names
     header = ["label"] + [f"p_{nm}" for nm in names]
@@ -595,6 +607,8 @@ def cmd_evaluate(args) -> int:
         test_X, test_labels = train.X[plan.test], train.labels[plan.test]
 
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError(f"--method names no method: {args.method!r}")
     opt = _opt_config(args)
     model = estimate_class_model(train)
     rows = []

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ConfigError, DataError, Dataset, check_projection, \
     estimate_class_model, scatter_from_responsibilities, symmetrize
-from .objective import classification_log_likelihood, \
+from .objective import cholesky_factors, classification_log_likelihood, \
     diag_gaussian_log_densities, diff_log_densities, \
     full_gaussian_log_densities, grad_objective, \
     grad_weighted_log_densities, log_densities, projected_variances, \
@@ -111,7 +111,9 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     """Full-covariance Gaussian mixture by EM.
 
     Initialization is k-means from the config seed; each M-step clamps
-    covariance eigenvalues at ``cov_floor * trace/p``; a component whose
+    covariance eigenvalues at ``cov_floor * trace/p`` (one batched
+    Cholesky of ``S_k - floor_k I`` finds the components that need it,
+    and only those get an eigendecomposition); a component whose
     responsibility mass vanishes is re-seeded at the point the current
     mixture explains worst, with a warning. The log-likelihood trace is
     non-decreasing (within 1e-8) whenever no floor or re-seed fires.
@@ -132,35 +134,45 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     R = np.zeros((n, K))
     R[np.arange(n), assign] = 1.0
 
-    weights = np.empty(K)
+    eye = np.eye(p)
+    buf = np.empty_like(X)
     means = np.empty((K, p))
-    covs = np.empty((K, p, p))
+    covs = np.zeros((K, p, p))
     trace = []
     ll_prev = -np.inf
     ll_per_point = None
     for it in range(config.em_max_iters + 1):
-        # M-step
+        # M-step: all means from one product, each scatter from one
+        # weighted-difference buffer, one Cholesky to test the floors
         mass = R.sum(axis=0)
-        for k in range(K):
-            if mass[k] < 1e-10:
-                # dead component: restart at the worst-explained point
-                warnings.warn(f"mixture component {k + 1} lost all "
-                              "responsibility mass; re-seeding")
-                worst = int(np.argmin(ll_per_point)) \
-                    if ll_per_point is not None else int(rng.integers(n))
-                means[k] = X[worst]
-                covs[k] = _floor_covariance(
-                    np.diag(np.full(p, max(data_cov_trace / p, 1e-12))),
-                    config.cov_floor * max(data_cov_trace, 1e-12) / p)
-                weights[k] = 1.0 / n
-                continue
-            means[k] = R[:, k] @ X / mass[k]
-            D = X - means[k]
-            S = (D * R[:, k, None]).T @ D / mass[k]
-            floor = config.cov_floor * max(np.trace(S),
-                                           1e-6 * data_cov_trace) / p
-            covs[k] = _floor_covariance(S, floor)
-            weights[k] = mass[k] / n
+        dead = mass < 1e-10
+        live = np.flatnonzero(~dead)
+        np.divide(R.T @ X, np.where(dead, 1.0, mass)[:, None], out=means)
+        root = np.sqrt(R)
+        for k in live:
+            np.subtract(X, means[k], out=buf)
+            buf *= root[:, k, None]
+            np.matmul(buf.T, buf, out=covs[k])
+            covs[k] /= mass[k]
+        covs = symmetrize(covs)
+        floors = config.cov_floor * np.maximum(
+            np.einsum("kii->k", covs), 1e-6 * data_cov_trace) / p
+        _, above = cholesky_factors(covs[live]
+                                    - floors[live, None, None] * eye)
+        for k in live[~above]:
+            covs[k] = _floor_covariance(covs[k], floors[k])
+        weights = mass / n
+        for k in np.flatnonzero(dead):
+            # dead component: restart at the worst-explained point
+            warnings.warn(f"mixture component {k + 1} lost all "
+                          "responsibility mass; re-seeding")
+            worst = int(np.argmin(ll_per_point)) \
+                if ll_per_point is not None else int(rng.integers(n))
+            means[k] = X[worst]
+            covs[k] = _floor_covariance(
+                np.diag(np.full(p, max(data_cov_trace / p, 1e-12))),
+                config.cov_floor * max(data_cov_trace, 1e-12) / p)
+            weights[k] = 1.0 / n
         weights = weights / weights.sum()
         # E-step
         ld = full_gaussian_log_densities(X, means, covs)
@@ -239,8 +251,12 @@ def gradient_check(trials: int, seed: int):
     clustering suite fits mixtures to shifted blobs and keeps drawing
     until ``max(trials // 5, 10)`` instances lie clear of an assignment
     switch, where the max-component term is not differentiable. The
-    error is ``||G - FD|| / max(||FD||, 1e-12)``.
+    error is ``||G - FD|| / max(||FD||, 1e-12)``. Fewer than one trial
+    is a ``ConfigError``: it would check nothing and pass.
     """
+    if trials < 1:
+        raise ConfigError(f"need at least one gradient-check trial, "
+                          f"got {trials}")
     def rel_err(fn, G, V, h=1e-6):
         FD = np.zeros_like(V)
         for a in range(V.shape[0]):
@@ -295,8 +311,7 @@ def gradient_check(trials: int, seed: int):
 
 def _diag_em(Z, weights, means, variances, config: ClusterConfig):
     """Diagonal-covariance EM in the projected space, warm-started."""
-    n, d = Z.shape
-    K = weights.shape[0]
+    n = Z.shape[0]
     floor = config.cov_floor * max(float(np.var(Z, axis=0).mean()), 1e-12)
     variances = np.maximum(variances, floor)
     ll_prev = -np.inf
@@ -311,20 +326,24 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
         if it > 0 and ll - ll_prev <= config.em_tol * max(1.0, abs(ll)):
             break
         ll_prev = ll
+        # M-step, one coordinate at a time on K x n arrays
         mass = R.sum(axis=0)
-        for k in range(K):
-            if mass[k] < 1e-10:
-                warnings.warn(f"projected component {k + 1} lost all "
-                              "responsibility mass; re-seeding")
-                worst = int(np.argmin(ll_per_point))
-                means[k] = Z[worst]
-                variances[k] = np.maximum(np.var(Z, axis=0), floor)
-                weights[k] = 1.0 / n
-                continue
-            means[k] = R[:, k] @ Z / mass[k]
-            D = Z - means[k]
-            variances[k] = np.maximum((R[:, k] @ (D * D)) / mass[k], floor)
-            weights[k] = mass[k] / n
+        dead = mass < 1e-10
+        divisor = np.where(dead, 1.0, mass)[:, None]
+        means = R.T @ Z / divisor
+        for j in range(Z.shape[1]):
+            D = Z[:, j][None, :] - means[:, j, None]
+            D *= D
+            D *= R.T
+            variances[:, j] = D.sum(axis=1)
+        variances = np.maximum(variances / divisor, floor)
+        weights = mass / n
+        for k in np.flatnonzero(dead):
+            warnings.warn(f"projected component {k + 1} lost all "
+                          "responsibility mass; re-seeding")
+            means[k] = Z[int(np.argmin(ll_per_point))]
+            variances[k] = np.maximum(np.var(Z, axis=0), floor)
+            weights[k] = 1.0 / n
         weights = weights / weights.sum()
     return weights, means, variances, R, np.asarray(trace)
 

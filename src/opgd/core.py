@@ -53,8 +53,9 @@ def _readonly(a):
 
 
 def symmetrize(S):
-    """Return ``(S + S.T) / 2``; suppresses accumulation asymmetry."""
-    return 0.5 * (S + S.T)
+    """Return ``(S + S') / 2`` for a matrix or each matrix of a stack;
+    suppresses accumulation asymmetry."""
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,12 @@ The diagonal and full-covariance Gaussian log-density routines here are
 the only ones in the package; the classifier and the mixture code call
 them too. The full-covariance quadratic ``(z - mu_k)' Sigma_k^{-1}
 (z - mu_k)`` is ``||(Z - mu_k) L_k^{-T}||^2`` row by row for the
-Cholesky factor ``L_k``: one matrix product against the inverted factor
-per component.
+Cholesky factor ``L_k``. All K factors come from one batched Cholesky
+and one batched inverse, and all K quadratics from one matrix product
+of ``[Z - c, 1]`` against the stacked ``L_k^{-T}``, with the shifted
+means ``-(mu_k - c)' L_k^{-T}`` in the extra row; the shift ``c`` is the
+mean of the component means. Only numpy's LAPACK is used, so the
+package runs on one BLAS thread pool.
 
 Every row-wise log-sum-exp in the package goes through
 :func:`row_logsumexp`, which does the arithmetic of
@@ -55,13 +59,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GaussianClassModel, check_projection, symmetrize
+from .core import Dataset, GaussianClassModel, NumericalError, \
+    check_projection, symmetrize
 
 # Projected variances are clamped below at this fraction of trace/p of the
 # corresponding class covariance; clamp events are counted, never raised.
 VARIANCE_FLOOR_FRAC = 1e-12
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# Rows of the full-covariance product are taken in blocks of at most this
+# many entries (8 MB), so its ``n x K d`` result stays bounded.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -115,51 +124,100 @@ def row_logsumexp(a, keepdims: bool = False):
     return out if keepdims else out[:, 0]
 
 
+def _diag_log_norm(variances):
+    """``log`` of each diagonal Gaussian's normalizing constant."""
+    return -0.5 * variances.shape[1] * LOG_2PI \
+        - 0.5 * np.log(variances).sum(axis=1)
+
+
 def diff_log_densities(diffs, variances):
     """``n x K`` diagonal-Gaussian log-densities from the differences
     ``diffs[i, k] = z_i - means[k]``, shape ``(n, K, d)``."""
     quad = np.einsum("ikj,kj->ik", diffs * diffs, 1.0 / variances)
-    const = -0.5 * diffs.shape[2] * LOG_2PI - 0.5 * np.log(variances).sum(axis=1)
-    return const[None, :] - 0.5 * quad
+    return _diag_log_norm(variances)[None, :] - 0.5 * quad
 
 
 def diag_gaussian_log_densities(Z, means, variances):
     """``n x K`` diagonal-Gaussian log-densities of the rows of ``Z``.
 
-    Entry (i, k) is ``log N(z_i; means[k], diag(variances[k]))``.
+    Entry (i, k) is ``log N(z_i; means[k], diag(variances[k]))``. The
+    quadratic is accumulated one coordinate at a time on ``K x n``
+    arrays: with the few coordinates of a projection, ``(n, K, d)``
+    differences would put numpy's inner loops on the short last axis.
     """
-    return diff_log_densities(Z[:, None, :] - means[None, :, :], variances)
+    inv = 1.0 / variances
+    quad = np.zeros((means.shape[0], Z.shape[0]))
+    for j in range(Z.shape[1]):
+        diff = Z[:, j][None, :] - means[:, j, None]
+        diff *= diff
+        diff *= inv[:, j, None]
+        quad += diff
+    return _diag_log_norm(variances)[None, :] - 0.5 * quad.T
+
+
+def cholesky_factors(S):
+    """Lower Cholesky factors of the ``(K, d, d)`` stack ``S``, and the
+    mask of the matrices that factored.
+
+    One LAPACK call factors the whole stack. Only when that fails is
+    each matrix factored on its own; the factor of one that fails is
+    left zero.
+    """
+    try:
+        return np.linalg.cholesky(S), np.ones(S.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    L = np.zeros_like(S)
+    ok = np.zeros(S.shape[0], dtype=bool)
+    for k in range(S.shape[0]):
+        try:
+            L[k] = np.linalg.cholesky(S[k])
+            ok[k] = True
+        except np.linalg.LinAlgError:
+            pass
+    return L, ok
 
 
 def full_gaussian_log_densities(Z, means, covariances):
     """``n x K`` full-covariance Gaussian log-densities via Cholesky.
 
     The quadratic is ``||(Z - mu_k) L^{-T}||^2`` for the lower factor
-    ``L`` of ``Sigma_k``, one matrix product per component. A covariance
-    that fails to factor gets a ridge of 1e-8 * trace/d on the diagonal,
-    with a warning; one that still fails (indefinite) raises
-    ``LinAlgError``.
+    ``L`` of ``Sigma_k``, for all components in one matrix product (see
+    the module docstring). A covariance that fails to factor gets a
+    ridge of 1e-8 * trace/d on the diagonal, with a warning; one that
+    still fails (indefinite) raises ``LinAlgError``. A covariance with a
+    non-finite entry raises ``NumericalError``.
     """
-    from scipy.linalg import cho_factor, solve_triangular
-
     n, d = Z.shape
     K = means.shape[0]
-    eye = np.eye(d)
-    out = np.empty((n, K))
-    for k in range(K):
-        S = symmetrize(covariances[k])
-        try:
-            factor, _ = cho_factor(S, lower=True)
-        except np.linalg.LinAlgError:
-            ridge = 1e-8 * max(np.trace(S), 1.0) / d
-            warnings.warn("singular covariance; adding ridge "
-                          f"{ridge:.3e} to keep the discriminant defined")
-            factor, _ = cho_factor(S + ridge * eye, lower=True)
-        L = np.tril(factor)     # cho_factor leaves the upper triangle unset
-        Y = (Z - means[k]) @ solve_triangular(L, eye, lower=True).T
-        logdet = 2.0 * np.log(np.diag(L)).sum()
-        out[:, k] = -0.5 * (d * LOG_2PI + logdet + np.einsum("ij,ij->i", Y, Y))
-    return out
+    S = symmetrize(np.asarray(covariances, dtype=float))
+    bad = ~np.isfinite(S).all(axis=(1, 2))
+    if bad.any():
+        raise NumericalError("covariance of component "
+                             f"{int(np.argmax(bad)) + 1} has non-finite "
+                             "entries")
+    L, ok = cholesky_factors(S)
+    for k in np.flatnonzero(~ok):
+        ridge = 1e-8 * max(np.trace(S[k]), 1.0) / d
+        warnings.warn("singular covariance; adding ridge "
+                      f"{ridge:.3e} to keep the discriminant defined")
+        L[k] = np.linalg.cholesky(S[k] + ridge * np.eye(d))
+    inv_t = np.linalg.inv(L).transpose(0, 2, 1)            # L_k^{-T}
+    center = means.mean(axis=0)
+    Z1 = np.empty((n, d + 1))
+    np.subtract(Z, center, out=Z1[:, :d])
+    Z1[:, d] = 1.0
+    W = np.empty((d + 1, K, d))
+    W[:d] = inv_t.transpose(1, 0, 2)
+    W[d] = -np.einsum("kj,kjl->kl", means - center, inv_t)
+    W = W.reshape(d + 1, K * d)
+    quad = np.empty((n, K))
+    rows = max(1, _BLOCK_ENTRIES // (K * d))
+    for lo in range(0, n, rows):
+        Y = (Z1[lo:lo + rows] @ W).reshape(-1, K, d)
+        quad[lo:lo + rows] = np.einsum("ikj,ikj->ik", Y, Y)
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * ((d * LOG_2PI + logdet)[None, :] + quad)
 
 
 def log_densities(X, V, means, covariances, clamp: ClampStats | None = None):

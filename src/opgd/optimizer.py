@@ -109,19 +109,21 @@ def discriminant_directions(scatter: ScatterMatrices, r: int,
     """Leading-``r`` eigenvectors of the ridge-stabilized (W^-1)B.
 
     Solved as the generalized symmetric-definite problem
-    ``B u = lambda (W + ridge I) u``, so eigenvalues are real and
-    non-negative up to round-off. Columns have unit norm, ordered by
+    ``B u = lambda (W + ridge I) u`` by Cholesky whitening: with
+    ``W + ridge I = L L'``, the eigenvectors are ``L^{-T} w`` for those
+    ``w`` of the symmetric ``L^{-1} B L^{-T}``, so eigenvalues are real
+    and non-negative up to round-off. Columns have unit norm, ordered by
     decreasing eigenvalue; also returns the eigenvalues for rank
     inspection.
     """
-    from scipy.linalg import eigh
-
     p = scatter.within.shape[0]
     ridge = ridge_frac * np.trace(scatter.within) / p
     W = symmetrize(scatter.within) + ridge * np.eye(p)
-    evals, evecs = eigh(symmetrize(scatter.between), W)
+    L_inv = np.linalg.inv(np.linalg.cholesky(W))
+    evals, evecs = np.linalg.eigh(
+        symmetrize(L_inv @ symmetrize(scatter.between) @ L_inv.T))
     order = np.argsort(-evals, kind="stable")[:r]
-    return _normalize_columns(evecs[:, order]), evals[order]
+    return _normalize_columns(L_inv.T @ evecs[:, order]), evals[order]
 
 
 def _fallback_projection(scatter: ScatterMatrices, dim: int,

@@ -1,8 +1,13 @@
 """Tests for ingestion, manifests, model files and the command line."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import opgd
 from opgd.cli import (
     ingest_csv,
     main,
@@ -332,6 +337,37 @@ class TestCommands:
         assert "error: malformed array block" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["predict", "cluster"])
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    def test_non_finite_model_field_is_data_error(self, tmp_path, capsys,
+                                                  command, bad):
+        ds = _labeled_dataset(12, p=2)
+        model = rda_fit(ds, 0.5) if command == "predict" else \
+            fit_gmm_em(ds.X, 3, ClusterConfig(seed=12))
+        lines = serialize_model(model, "0" * 16).splitlines()
+        row = next(i for i, l in enumerate(lines)
+                   if l.startswith("field\tcovariances")) + 2
+        lines[row] = "\t".join([bad] + lines[row].split("\t")[1:])
+        path = _write(tmp_path / "bad.model", "\n".join(lines) + "\n")
+        assert self._run_with_model(tmp_path, command, path) == 3
+        err = capsys.readouterr().err
+        assert "error: model field 'covariances' holds non-finite" in err
+        assert "Traceback" not in err
+
+    def test_predict_column_count_mismatch_is_data_error(self, tmp_path,
+                                                        capsys):
+        """Without ``--labels`` the label column is read as a feature."""
+        data = _blob_csv(tmp_path / "d.csv", seed=13)
+        model = str(tmp_path / "m.lda")
+        assert main(["fit", "--data", data, "--labels", "y", "--method",
+                     "lda", "--dim", "1", "--out", model]) == 0
+        rc = main(["predict", "--data", data, "--model", model,
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "has 3 feature columns, the model was fitted on 2" in err
+        assert "Traceback" not in err
+
     def test_evaluate_split_table(self, tmp_path):
         data = _blob_csv(tmp_path / "d.csv", seed=5, n_per=60, extra_cols=1)
         out = str(tmp_path / "res.tsv")
@@ -408,14 +444,25 @@ class TestCommands:
         ["evaluate", "--method", "lda", "--split", "a,b,c"],
         ["evaluate", "--method", "lda", "--split", "nan,nan,nan"],
         ["cluster", "--clusters", "0"],
+        ["fit", "--perturb", "nan"],
+        ["cluster", "--clusters", "3", "--perturb", "inf"],
+        ["evaluate", "--method", ""],
+        ["evaluate", "--method", ","],
     ], ids=["grid_word", "grid_inf", "split_words", "split_nan",
-            "zero_clusters"])
+            "zero_clusters", "perturb_nan", "perturb_inf", "method_empty",
+            "method_comma"])
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, command):
         data = _blob_csv(tmp_path / "d.csv", seed=4)
         rc = main([command[0], "--data", data, "--labels", "y",
                    "--out", str(tmp_path / "o.tsv")] + command[1:])
         err = capsys.readouterr().err
         assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_gradcheck_without_trials_is_config_error(self, capsys, trials):
+        assert main(["gradcheck", "--trials", trials]) == 2
+        err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_undecodable_model_file_is_data_error(self, tmp_path, capsys):
@@ -454,3 +501,31 @@ class TestDeterminism:
                          "--seed", seed, "--out", out]) == 0
             ids.append(open(out + ".manifest").read().splitlines()[-1])
         assert ids[0] != ids[1]
+
+
+def test_no_scipy_at_run_time(tmp_path):
+    """A fresh interpreter that fits, predicts and clusters through the
+    CLI never imports scipy."""
+    data = _blob_csv(tmp_path / "d.csv", seed=14)
+    model = str(tmp_path / "m.lda")
+    calls = [
+        ["fit", "--data", data, "--labels", "y", "--method", "lda",
+         "--dim", "1", "--out", model],
+        ["fit", "--data", data, "--labels", "y", "--max-iters", "20",
+         "--out", str(tmp_path / "m.opgd")],
+        ["predict", "--data", data, "--labels", "y", "--model", model,
+         "--out", str(tmp_path / "p.tsv")],
+        ["cluster", "--data", data, "--clusters", "3", "--dim", "1",
+         "--max-iters", "20", "--out", str(tmp_path / "c.tsv")],
+    ]
+    script = ("import sys\nimport opgd.cli\n"
+              f"for argv in {calls!r}:\n"
+              "    assert opgd.cli.main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opgd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -4,12 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from opgd.clustering import (
     ClusterConfig,
     GmmModel,
+    _diag_em,
+    _floor_covariance,
+    _kmeans,
     cluster_objective,
     enhance_gmm,
     fit_gmm_em,
@@ -53,6 +57,75 @@ def _fd_gradient(fn, V, h=1e-6):
             Vm[i, j] -= h
             G[i, j] = (fn(Vp) - fn(Vm)) / (2 * h)
     return G
+
+
+def _reference_em(X, K, config):
+    """Full-covariance EM one component at a time, with scipy's Cholesky
+    and triangular solve: the loop the batched EM replaces."""
+    n, p = X.shape
+    rng = np.random.default_rng(config.seed)
+    data_cov_trace = float(np.var(X, axis=0).sum())
+    R = np.zeros((n, K))
+    R[np.arange(n), _kmeans(X, K, rng)] = 1.0
+    weights, means, covs = np.empty(K), np.empty((K, p)), np.empty((K, p, p))
+    trace, ll_prev, floored = [], -np.inf, set()
+    for it in range(config.em_max_iters + 1):
+        mass = R.sum(axis=0)
+        for k in range(K):
+            means[k] = R[:, k] @ X / mass[k]
+            D = X - means[k]
+            S = (D * R[:, k, None]).T @ D / mass[k]
+            floor = config.cov_floor * max(np.trace(S),
+                                           1e-6 * data_cov_trace) / p
+            covs[k] = _floor_covariance(S, floor)
+            if np.linalg.eigvalsh(0.5 * (S + S.T))[0] < floor:
+                floored.add(k)
+            weights[k] = mass[k] / n
+        weights = weights / weights.sum()
+        ld = np.empty((n, K))
+        for k in range(K):
+            L = np.tril(cho_factor(covs[k], lower=True)[0])
+            Y = (X - means[k]) @ solve_triangular(L, np.eye(p), lower=True).T
+            ld[:, k] = -0.5 * (p * np.log(2 * np.pi)
+                               + 2.0 * np.log(np.diag(L)).sum()
+                               + np.einsum("ij,ij->i", Y, Y))
+        joint = np.log(weights)[None, :] + ld
+        ll_per_point = logsumexp(joint, axis=1)
+        ll = float(ll_per_point.sum())
+        trace.append(ll)
+        R = np.exp(joint - ll_per_point[:, None])
+        if it > 0 and ll - ll_prev <= config.em_tol * max(1.0, abs(ll)):
+            break
+        ll_prev = ll
+    return GmmModel(weights, means, covs), np.asarray(trace), floored
+
+
+def _reference_diag_em(Z, weights, means, variances, config):
+    """Diagonal-covariance EM one component at a time, with scipy's
+    densities: the loop the batched M-step replaces."""
+    n, d = Z.shape
+    floor = config.cov_floor * max(float(np.var(Z, axis=0).mean()), 1e-12)
+    variances = np.maximum(variances, floor)
+    trace, ll_prev = [], -np.inf
+    for it in range(config.em_max_iters + 1):
+        joint = np.log(weights)[None, :] + np.column_stack([
+            multivariate_normal.logpdf(Z, mean=m, cov=np.diag(v))
+            for m, v in zip(means, variances)])
+        ll_per_point = logsumexp(joint, axis=1)
+        ll = float(ll_per_point.sum())
+        trace.append(ll)
+        R = np.exp(joint - ll_per_point[:, None])
+        if it > 0 and ll - ll_prev <= config.em_tol * max(1.0, abs(ll)):
+            break
+        ll_prev = ll
+        mass = R.sum(axis=0)
+        for k in range(len(weights)):
+            means[k] = R[:, k] @ Z / mass[k]
+            D = Z - means[k]
+            variances[k] = np.maximum((R[:, k] @ (D * D)) / mass[k], floor)
+            weights[k] = mass[k] / n
+        weights = weights / weights.sum()
+    return weights, means, variances, R, np.asarray(trace)
 
 
 class TestClusterConfig:
@@ -107,6 +180,36 @@ class TestFitGmmEm:
         gmm = fit_gmm_em(X, 3, ClusterConfig(seed=4))
         R = responsibilities(X, gmm)
         np.testing.assert_allclose(R.sum(axis=1), 1.0, atol=1e-12)
+
+    @staticmethod
+    def _assert_matches_reference(X, K, config):
+        gmm, trace = fit_gmm_em(X, K, config, return_trace=True)
+        ref, ref_trace, floored = _reference_em(X, K, config)
+        assert len(trace) == len(ref_trace)
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-12)
+        for got, want in ((gmm.weights, ref.weights), (gmm.means, ref.means),
+                          (gmm.covariances, ref.covariances)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        return gmm, len(trace), floored
+
+    def test_batched_em_matches_per_component_loop(self):
+        X, _ = _three_blobs(5, n_per=100, delta=3.0, p_extra=3)
+        _, iters, floored = self._assert_matches_reference(
+            X, 4, ClusterConfig(seed=5, em_tol=1e-10))
+        assert 2 < iters < 301 and not floored
+
+    def test_component_below_floor_is_clamped_like_floor_covariance(self):
+        """A blob flat in one coordinate has its scatter eigenvalue clamped
+        at the floor, exactly as ``_floor_covariance`` clamps it."""
+        X, _ = _three_blobs(6, p_extra=1)
+        X[:80, 2] = 0.0
+        config = ClusterConfig(seed=6, em_max_iters=5, cov_floor=1e-3)
+        gmm, _, floored = self._assert_matches_reference(X, 3, config)
+        assert floored
+        k = next(iter(floored))
+        floor = 1e-3 * np.trace(gmm.covariances[k]) / 3
+        assert np.linalg.eigvalsh(gmm.covariances[k])[0] == \
+            pytest.approx(floor, rel=1e-3)
 
 
 class TestClusterObjective:
@@ -176,6 +279,20 @@ class TestClusterObjective:
         G = grad_cluster_objective(X, V, gmm, lam)
         ref = -4.0 * lam * V @ (V.T @ V - np.eye(2))
         np.testing.assert_allclose(G, ref, atol=1e-9)
+
+
+class TestDiagEm:
+    def test_matches_per_component_loop(self):
+        X, _ = _three_blobs(10, n_per=60, delta=2.5)
+        start = (np.array([0.2, 0.3, 0.5]),
+                 np.array([[0.5, 0.5], [2.0, 0.0], [0.0, 2.0]]),
+                 np.ones((3, 2)))
+        config = ClusterConfig(em_tol=1e-10)
+        got = _diag_em(X, *(a.copy() for a in start), config)
+        want = _reference_diag_em(X, *(a.copy() for a in start), config)
+        assert 2 < len(got[4]) == len(want[4]) < 301
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12)
 
 
 class TestEnhanceGmm:

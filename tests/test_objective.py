@@ -8,7 +8,8 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from opgd.clustering import GmmModel, grad_cluster_objective
-from opgd.core import Dataset, diag_congruence, estimate_class_model
+from opgd.core import Dataset, NumericalError, diag_congruence, \
+    estimate_class_model
 from opgd.objective import (
     ClampStats,
     build_workspace,
@@ -183,6 +184,16 @@ class TestFullGaussianLogDensities:
         np.testing.assert_allclose(full_gaussian_log_densities(Z, means, covs),
                                    self._reference(Z, means, covs), rtol=1e-10)
 
+    def test_row_blocks_agree_with_one_block(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        Z = rng.standard_normal((23, 4))
+        means = rng.standard_normal((3, 4))
+        covs = np.stack([self._spd(rng, 4) for _ in range(3)])
+        whole = full_gaussian_log_densities(Z, means, covs)
+        monkeypatch.setattr("opgd.objective._BLOCK_ENTRIES", 5 * 12)
+        np.testing.assert_array_equal(
+            full_gaussian_log_densities(Z, means, covs), whole)
+
     def test_ill_conditioned_covariance(self):
         rng = np.random.default_rng(2)
         S = self._spd(rng, 6, cond=1e8)
@@ -208,6 +219,30 @@ class TestFullGaussianLogDensities:
         # of order 1e8, so scipy's eigendecomposition agrees only to ~1e-7
         np.testing.assert_allclose(got, self._reference(Z, means, ridged),
                                    rtol=1e-6)
+
+    def test_one_singular_component_in_a_batch(self):
+        """Only the singular component takes the ridge, with one warning;
+        every other column is what that component gives on its own."""
+        rng = np.random.default_rng(4)
+        Z = rng.standard_normal((40, 3))
+        means = rng.standard_normal((4, 3))
+        covs = np.stack([self._spd(rng, 3) for _ in range(4)])
+        covs[2] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]]
+        with pytest.warns(UserWarning, match="singular covariance") as rec:
+            got = full_gaussian_log_densities(Z, means, covs)
+        assert len(rec) == 1
+        for k in (0, 1, 3):
+            alone = full_gaussian_log_densities(Z, means[k:k + 1],
+                                                covs[k:k + 1])
+            np.testing.assert_allclose(got[:, k], alone[:, 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_raises(self, bad):
+        covs = np.stack([np.eye(3), np.eye(3)])
+        covs[1, 0, 2] = bad
+        with pytest.raises(NumericalError, match="component 2"):
+            full_gaussian_log_densities(np.zeros((2, 3)), np.zeros((2, 3)),
+                                        covs)
 
     def test_indefinite_covariance_raises(self):
         with pytest.warns(UserWarning, match="singular covariance"), \
