@@ -520,6 +520,7 @@ def cmd_cluster(args) -> int:
     if args.pca_threshold is not None:
         X, _basis = pca_prefilter(X, args.pca_threshold)
     cc = ClusterConfig(lam=args.lam, seed=args.seed)
+    opt = _opt_config(args)
     if args.init_gmm:
         gmm, _ = _read_model(args.init_gmm)
         if not isinstance(gmm, GmmModel):
@@ -530,8 +531,7 @@ def cmd_cluster(args) -> int:
     else:
         gmm = fit_gmm_em(X, args.clusters, cc)
     initial_labels = hard_labels(X, gmm)
-    V, labels, _projected = enhance_gmm(X, gmm, args.dim, cc,
-                                        _opt_config(args))
+    V, labels, _projected = enhance_gmm(X, gmm, args.dim, cc, opt)
     Z = X @ V
     vcols = [f"v{j + 1}" for j in range(V.shape[1])]
     _write_table(args.out, manifest.manifest_id, ["cluster"],

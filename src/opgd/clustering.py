@@ -12,6 +12,13 @@ Frobenius penalty keeping ``V`` near orthonormality (default weight
 component densities. After the ascent the mixture is re-estimated
 inside the subspace by diagonal-covariance EM and points are labeled by
 their maximum responsibility.
+
+Both EMs (the full-space fit and the projected re-estimate) share one
+stopping rule, :func:`_em_converged`: they stop when a step gains
+nothing, or when the log-likelihood gain still to come by Aitken's
+extrapolation of the last three values is at most
+``em_tol * max(1, |loglik|)`` (``em_tol = 1e-5`` by default). An EM that
+reaches ``em_max_iters`` first stops there with a ``UserWarning``.
 """
 
 from __future__ import annotations
@@ -54,20 +61,59 @@ class ClusterConfig:
     """Settings for mixture fitting and enhancement.
 
     ``lam`` is the orthonormality penalty weight; ``None`` means the
-    number of observations.
+    number of observations. ``em_tol`` bounds the log-likelihood gain
+    that Aitken's extrapolation says is still to come when EM stops,
+    relative to ``max(1, |loglik|)`` (see :func:`_em_converged`); the
+    default ``1e-5`` is mclust's EM tolerance. An EM still short of it
+    after ``em_max_iters`` iterations stops with a ``UserWarning``.
+    Every float must be finite.
     """
 
     lam: float | None = None
     em_max_iters: int = 300
-    em_tol: float = 1e-8
+    em_tol: float = 1e-5
     cov_floor: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam is not None and self.lam < 0:
-            raise ConfigError("lam must be non-negative")
-        if self.em_max_iters < 1 or self.em_tol <= 0 or self.cov_floor <= 0:
-            raise ConfigError("EM settings must be positive")
+        if self.lam is not None and not (np.isfinite(self.lam)
+                                         and self.lam >= 0):
+            raise ConfigError(f"lam must be finite and non-negative, "
+                              f"got {self.lam}")
+        if self.em_max_iters < 1:
+            raise ConfigError("em_max_iters must be positive")
+        for name in ("em_tol", "cov_floor"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {value}")
+
+
+def _em_converged(trace, tol: float) -> bool:
+    """Whether an EM log-likelihood ``trace`` has converged.
+
+    It has when either
+
+    - the last step ``d_t = l_t - l_{t-1}`` gained nothing (``d_t <= 0``),
+      as after a floor or re-seed lowered the likelihood;
+    - the last three values give a rate ``a = d_t / d_{t-1}`` with
+      ``d_{t-1} > 0`` and ``0 <= a < 1``, and the gain still to come by
+      Aitken's extrapolation (Boehning et al. 1994),
+      ``l_inf - l_t = d_t a / (1 - a)``, is at most
+      ``tol * max(1, |l_t|)``.
+
+    A sequence whose gains do not shrink (``a >= 1``) has no
+    extrapolated limit and runs on.
+    """
+    if len(trace) < 2:
+        return False
+    gain = trace[-1] - trace[-2]
+    if gain <= 0:
+        return True
+    if len(trace) < 3 or trace[-2] - trace[-3] <= 0:
+        return False
+    a = gain / (trace[-2] - trace[-3])
+    return a < 1 and gain * a / (1 - a) <= tol * max(1.0, abs(trace[-1]))
 
 
 def _floor_covariance(S, floor):
@@ -117,6 +163,11 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     responsibility mass vanishes is re-seeded at the point the current
     mixture explains worst, with a warning. The log-likelihood trace is
     non-decreasing (within 1e-8) whenever no floor or re-seed fires.
+
+    EM stops by :func:`_em_converged` at ``config.em_tol``, or after
+    ``config.em_max_iters`` iterations with a ``UserWarning`` naming the
+    cap. ``return_trace=True`` returns ``(model, trace)``, the trace
+    holding the log-likelihood after each E-step.
     """
     config = config if config is not None else ClusterConfig()
     X = np.asarray(X, dtype=float)
@@ -139,9 +190,8 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     means = np.empty((K, p))
     covs = np.zeros((K, p, p))
     trace = []
-    ll_prev = -np.inf
     ll_per_point = None
-    for it in range(config.em_max_iters + 1):
+    for _ in range(config.em_max_iters + 1):
         # M-step: all means from one product, each scatter from one
         # weighted-difference buffer, one Cholesky to test the floors
         mass = R.sum(axis=0)
@@ -181,9 +231,11 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
         ll = float(ll_per_point.sum())
         trace.append(ll)
         R = np.exp(joint - ll_per_point[:, None])
-        if it > 0 and ll - ll_prev <= config.em_tol * max(1.0, abs(ll)):
+        if _em_converged(trace, config.em_tol):
             break
-        ll_prev = ll
+    else:
+        warnings.warn(f"full-space EM stopped at its cap of "
+                      f"{config.em_max_iters} iterations before converging")
     model = GmmModel(weights=weights.copy(), means=means.copy(),
                      covariances=covs.copy())
     if return_trace:
@@ -310,22 +362,24 @@ def gradient_check(trials: int, seed: int):
 
 
 def _diag_em(Z, weights, means, variances, config: ClusterConfig):
-    """Diagonal-covariance EM in the projected space, warm-started."""
+    """Diagonal-covariance EM in the projected space, warm-started.
+
+    Stops like :func:`fit_gmm_em`: by :func:`_em_converged`, or at
+    ``config.em_max_iters`` with a ``UserWarning``.
+    """
     n = Z.shape[0]
     floor = config.cov_floor * max(float(np.var(Z, axis=0).mean()), 1e-12)
     variances = np.maximum(variances, floor)
-    ll_prev = -np.inf
     trace = []
-    for it in range(config.em_max_iters + 1):
+    for _ in range(config.em_max_iters + 1):
         joint = np.log(weights)[None, :] + \
             diag_gaussian_log_densities(Z, means, variances)
         ll_per_point = row_logsumexp(joint)
         ll = float(ll_per_point.sum())
         trace.append(ll)
         R = np.exp(joint - ll_per_point[:, None])
-        if it > 0 and ll - ll_prev <= config.em_tol * max(1.0, abs(ll)):
+        if _em_converged(trace, config.em_tol):
             break
-        ll_prev = ll
         # M-step, one coordinate at a time on K x n arrays
         mass = R.sum(axis=0)
         dead = mass < 1e-10
@@ -345,6 +399,9 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
             variances[k] = np.maximum(np.var(Z, axis=0), floor)
             weights[k] = 1.0 / n
         weights = weights / weights.sum()
+    else:
+        warnings.warn(f"projected EM stopped at its cap of "
+                      f"{config.em_max_iters} iterations before converging")
     return weights, means, variances, R, np.asarray(trace)
 
 

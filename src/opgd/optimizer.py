@@ -40,7 +40,7 @@ class OptimConfig:
     number of observations; ``init_step`` is the first trial step along
     the gradient (quasi-Newton steps start at 1); ``epsilon_init`` and ``ridge_frac`` control
     the warm-start eigenproblem; ``seed`` only feeds the randomized
-    last-resort initialization fallback.
+    last-resort initialization fallback. Every float must be finite.
     """
 
     max_iters: int = 500
@@ -57,8 +57,10 @@ class OptimConfig:
             raise ConfigError("max_iters must be non-negative")
         for name in ("grad_tol", "init_step", "armijo_c",
                      "epsilon_init", "ridge_frac"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {value}")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ConfigError("backtrack_factor must lie in (0, 1)")
 

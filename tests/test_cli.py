@@ -448,9 +448,16 @@ class TestCommands:
         ["cluster", "--clusters", "3", "--perturb", "inf"],
         ["evaluate", "--method", ""],
         ["evaluate", "--method", ","],
+        ["cluster", "--clusters", "3", "--lambda", "nan"],
+        ["cluster", "--clusters", "3", "--lambda", "inf"],
+        ["fit", "--method", "opgd", "--ridge", "nan"],
+        ["fit", "--method", "opgd", "--epsilon", "nan"],
+        ["fit", "--method", "opgd", "--epsilon", "inf"],
+        ["cluster", "--clusters", "3", "--epsilon", "nan"],
     ], ids=["grid_word", "grid_inf", "split_words", "split_nan",
             "zero_clusters", "perturb_nan", "perturb_inf", "method_empty",
-            "method_comma"])
+            "method_comma", "lambda_nan", "lambda_inf", "ridge_nan",
+            "epsilon_nan", "epsilon_inf", "cluster_epsilon_nan"])
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, command):
         data = _blob_csv(tmp_path / "d.csv", seed=4)
         rc = main([command[0], "--data", data, "--labels", "y",

@@ -12,6 +12,7 @@ from opgd.clustering import (
     ClusterConfig,
     GmmModel,
     _diag_em,
+    _em_converged,
     _floor_covariance,
     _kmeans,
     cluster_objective,
@@ -68,8 +69,8 @@ def _reference_em(X, K, config):
     R = np.zeros((n, K))
     R[np.arange(n), _kmeans(X, K, rng)] = 1.0
     weights, means, covs = np.empty(K), np.empty((K, p)), np.empty((K, p, p))
-    trace, ll_prev, floored = [], -np.inf, set()
-    for it in range(config.em_max_iters + 1):
+    trace, floored = [], set()
+    for _ in range(config.em_max_iters + 1):
         mass = R.sum(axis=0)
         for k in range(K):
             means[k] = R[:, k] @ X / mass[k]
@@ -94,9 +95,8 @@ def _reference_em(X, K, config):
         ll = float(ll_per_point.sum())
         trace.append(ll)
         R = np.exp(joint - ll_per_point[:, None])
-        if it > 0 and ll - ll_prev <= config.em_tol * max(1.0, abs(ll)):
+        if _em_converged(trace, config.em_tol):
             break
-        ll_prev = ll
     return GmmModel(weights, means, covs), np.asarray(trace), floored
 
 
@@ -106,8 +106,8 @@ def _reference_diag_em(Z, weights, means, variances, config):
     n, d = Z.shape
     floor = config.cov_floor * max(float(np.var(Z, axis=0).mean()), 1e-12)
     variances = np.maximum(variances, floor)
-    trace, ll_prev = [], -np.inf
-    for it in range(config.em_max_iters + 1):
+    trace = []
+    for _ in range(config.em_max_iters + 1):
         joint = np.log(weights)[None, :] + np.column_stack([
             multivariate_normal.logpdf(Z, mean=m, cov=np.diag(v))
             for m, v in zip(means, variances)])
@@ -115,9 +115,8 @@ def _reference_diag_em(Z, weights, means, variances, config):
         ll = float(ll_per_point.sum())
         trace.append(ll)
         R = np.exp(joint - ll_per_point[:, None])
-        if it > 0 and ll - ll_prev <= config.em_tol * max(1.0, abs(ll)):
+        if _em_converged(trace, config.em_tol):
             break
-        ll_prev = ll
         mass = R.sum(axis=0)
         for k in range(len(weights)):
             means[k] = R[:, k] @ Z / mass[k]
@@ -132,19 +131,58 @@ class TestClusterConfig:
     def test_defaults(self):
         cfg = ClusterConfig()
         assert cfg.lam is None
+        assert cfg.em_tol == 1e-5  # mclust's EM tolerance
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"lam": -1.0},
+            {"lam": np.nan},
+            {"lam": np.inf},
             {"em_max_iters": 0},
             {"em_tol": 0.0},
+            {"em_tol": np.nan},
+            {"em_tol": np.inf},
             {"cov_floor": 0.0},
+            {"cov_floor": np.nan},
+            {"cov_floor": -np.inf},
         ],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             ClusterConfig(**kw)
+
+
+class TestEmConverged:
+    @pytest.mark.parametrize("a", [0.2, 0.5, 0.8, 0.95])
+    def test_geometric_sequence_stops_where_aitken_predicts(self, a):
+        """On ``l_t = l_inf - c a^t`` the extrapolated gain is exactly
+        ``c a^t``, so the rule stops at the first ``t >= 2`` where that
+        is within ``tol * |l_t|``."""
+        l_inf, c, tol = -1000.0, 400.0, 1e-5
+        trace = [l_inf - c * a ** t for t in range(400)]
+        stop = next(t for t in range(1, len(trace))
+                    if _em_converged(trace[:t + 1], tol))
+        want = next(t for t in range(2, len(trace))
+                    if c * a ** t <= tol * abs(trace[t]))
+        assert stop == want
+
+    @pytest.mark.parametrize("trace", [
+        [0.0, 1.0, 2.0, 3.0],      # a = 1: gains do not shrink
+        [0.0, 1.0, 3.0],           # a = 2
+        [5.0, 5.0, 6.0],           # d_{t-1} = 0
+        [5.0, 4.0, 6.0],           # d_{t-1} < 0
+        [0.0, 1.0],                # fewer than three values
+        [0.0],
+    ])
+    def test_never_stops_by_aitken_without_a_shrinking_gain(self, trace):
+        # a tolerance so loose that any extrapolation would pass it
+        assert not _em_converged(trace, tol=1e3)
+
+    @pytest.mark.parametrize("trace", [[0.0, 1.0, 1.0], [0.0, 1.0, 0.5],
+                                       [3.0, 2.0], [2.0, 2.0]])
+    def test_step_without_gain_stops(self, trace):
+        assert _em_converged(trace, tol=1e-12)
 
 
 class TestFitGmmEm:
@@ -180,6 +218,39 @@ class TestFitGmmEm:
         gmm = fit_gmm_em(X, 3, ClusterConfig(seed=4))
         R = responsibilities(X, gmm)
         np.testing.assert_allclose(R.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_noisy_fit_stops_before_the_cap(self):
+        """Five overlapping clusters under twelve noise columns: a rule
+        on the one-step gain at 1e-8 ran this fit to its 300 cap."""
+        rng = np.random.default_rng(0)
+        angles = 2.0 * np.pi * np.arange(5) / 5
+        centers = 8.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+        y = rng.integers(0, 5, 1000)
+        X = np.hstack([centers[y] + 4.0 * rng.standard_normal((1000, 2)),
+                       6.0 * rng.standard_normal((1000, 12))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = fit_gmm_em(X, 5, ClusterConfig(seed=0),
+                                  return_trace=True)
+        assert len(trace) - 1 < 300
+        assert np.all(np.diff(trace) >= 0.0)
+
+    def test_cap_warns(self):
+        X, _ = _three_blobs(1, delta=2.0)
+        with pytest.warns(UserWarning,
+                          match="full-space EM stopped at its cap of 3 "):
+            _, trace = fit_gmm_em(X, 3, ClusterConfig(seed=1, em_max_iters=3),
+                                  return_trace=True)
+        assert len(trace) == 4
+
+    def test_converged_fit_and_enhancement_do_not_warn(self):
+        X, _ = _three_blobs(0, p_extra=1)
+        cc = ClusterConfig(seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gmm, trace = fit_gmm_em(X, 3, cc, return_trace=True)
+            enhance_gmm(X, gmm, 2, cc, OptimConfig(max_iters=100))
+        assert len(trace) - 1 < cc.em_max_iters
 
     @staticmethod
     def _assert_matches_reference(X, K, config):
@@ -282,17 +353,28 @@ class TestClusterObjective:
 
 
 class TestDiagEm:
-    def test_matches_per_component_loop(self):
+    @staticmethod
+    def _start():
         X, _ = _three_blobs(10, n_per=60, delta=2.5)
-        start = (np.array([0.2, 0.3, 0.5]),
-                 np.array([[0.5, 0.5], [2.0, 0.0], [0.0, 2.0]]),
-                 np.ones((3, 2)))
+        return X, (np.array([0.2, 0.3, 0.5]),
+                   np.array([[0.5, 0.5], [2.0, 0.0], [0.0, 2.0]]),
+                   np.ones((3, 2)))
+
+    def test_matches_per_component_loop(self):
+        X, start = self._start()
         config = ClusterConfig(em_tol=1e-10)
         got = _diag_em(X, *(a.copy() for a in start), config)
         want = _reference_diag_em(X, *(a.copy() for a in start), config)
         assert 2 < len(got[4]) == len(want[4]) < 301
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12)
+
+    def test_cap_warns(self):
+        X, start = self._start()
+        with pytest.warns(UserWarning,
+                          match="projected EM stopped at its cap of 3 "):
+            got = _diag_em(X, *start, ClusterConfig(em_max_iters=3))
+        assert len(got[4]) == 4
 
 
 class TestEnhanceGmm:

@@ -54,6 +54,14 @@ class TestOptimConfig:
             {"armijo_c": 0.0},
             {"epsilon_init": -1e-3},
             {"ridge_frac": -1.0},
+            {"grad_tol": np.nan},
+            {"init_step": np.inf},
+            {"armijo_c": np.nan},
+            {"epsilon_init": np.nan},
+            {"epsilon_init": np.inf},
+            {"ridge_frac": np.nan},
+            {"ridge_frac": -np.inf},
+            {"backtrack_factor": np.nan},
         ],
     )
     def test_rejects_bad_values(self, kw):
