@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import ConfigError, Dataset, ScatterMatrices, check_projection, \
     compute_scatter, estimate_class_model, sphere, symmetrize
-from .objective import ClampStats, diag_gaussian_log_densities, \
-    full_gaussian_log_densities, projected_variances, row_logsumexp
+from .objective import ClampStats, component_logsumexp, diag_log_densities, \
+    full_gaussian_log_densities, projected_variances
 from .optimizer import OptimConfig, _normalize_columns, discriminant_directions, \
     init_projection, maximize, order_columns
 
@@ -38,9 +38,11 @@ def _as_matrix(X, p: int):
 
 
 def _posterior_predict(log_dens, priors):
-    logpost = np.log(priors)[None, :] + log_dens
-    post = np.exp(logpost - row_logsumexp(logpost, keepdims=True))
-    return np.argmax(post, axis=1) + 1, post
+    """Class ids (1..K) and the ``n x K`` posteriors from ``(K, n)``
+    log-densities."""
+    logpost = np.log(priors)[:, None] + log_dens
+    post = np.exp(logpost - component_logsumexp(logpost, keepdims=True))
+    return np.argmax(post, axis=0) + 1, post.T
 
 
 @dataclass(frozen=True)
@@ -128,10 +130,10 @@ def predict(model: OpgdModel, X):
     Ties in the posterior argmax go to the lowest class index.
     """
     X = _as_matrix(X, model.p)
-    ld = diag_gaussian_log_densities(X @ model.projection,
-                                     model.projected_means,
-                                     model.projected_vars)
-    return _posterior_predict(ld, model.priors)
+    diffs = (model.projection.T @ X.T)[None] \
+        - model.projected_means[:, :, None]
+    return _posterior_predict(diag_log_densities(diffs, model.projected_vars),
+                              model.priors)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ def lda_predict(model: LdaModel, X):
     covs = np.broadcast_to(model.covariance,
                            (model.means.shape[0],) + model.covariance.shape)
     ld = full_gaussian_log_densities(Z, model.means, covs)
-    return _posterior_predict(ld, model.priors)
+    return _posterior_predict(ld.T, model.priors)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ def save_predict(model: SaveModel, X):
     X = _as_matrix(X, model.p)
     ld = full_gaussian_log_densities(X @ model.projection, model.means,
                                      model.covariances)
-    return _posterior_predict(ld, model.priors)
+    return _posterior_predict(ld.T, model.priors)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +294,7 @@ def rda_fit(train: Dataset, alpha: float, label_names=None) -> RdaModel:
 def rda_predict(model: RdaModel, X):
     X = _as_matrix(X, model.p)
     ld = full_gaussian_log_densities(X, model.means, model.covariances)
-    return _posterior_predict(ld, model.priors)
+    return _posterior_predict(ld.T, model.priors)
 
 
 def rda_alpha_grid(p: int):

@@ -25,6 +25,7 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,6 +411,9 @@ def _write_table(path: str, manifest_id: str, header: list[str],
 # Commands
 
 def _opt_config(args) -> OptimConfig:
+    """The ascent settings from the flags. Every command that takes
+    ``--epsilon``/``--ridge`` builds it first, whatever the method, so a
+    bad value is refused before any work and never reaches a manifest."""
     return OptimConfig(max_iters=args.max_iters,
                        epsilon_init=args.epsilon,
                        ridge_frac=args.ridge,
@@ -417,6 +421,7 @@ def _opt_config(args) -> OptimConfig:
 
 
 def cmd_fit(args) -> int:
+    opt = _opt_config(args)
     ing = ingest_csv(args.data, label_column=args.labels,
                      perturb_sd=args.perturb, drop_constant=args.drop_constant,
                      seed=args.seed)
@@ -430,8 +435,7 @@ def cmd_fit(args) -> int:
         dropped=",".join(ing.dropped_columns) or None)
     names = ing.label_names
     if args.method == "opgd":
-        model = fit_opgd(ing.dataset, args.dim, _opt_config(args),
-                         label_names=names)
+        model = fit_opgd(ing.dataset, args.dim, opt, label_names=names)
     elif args.method == "lda":
         model = lda_fit(ing.dataset, args.dim, label_names=names)
     elif args.method == "save":
@@ -471,6 +475,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_features(args) -> int:
+    opt = _opt_config(args)
     ing = ingest_csv(args.data, label_column=args.labels,
                      perturb_sd=args.perturb, drop_constant=args.drop_constant,
                      seed=args.seed)
@@ -482,7 +487,7 @@ def cmd_features(args) -> int:
         perturb=args.perturb, drop_constant=args.drop_constant,
         dropped=",".join(ing.dropped_columns) or None)
     if args.method == "opgd":
-        model = fit_opgd(ing.dataset, args.dim, _opt_config(args),
+        model = fit_opgd(ing.dataset, args.dim, opt,
                          label_names=ing.label_names)
         V = model.projection
     elif args.method == "lda":
@@ -506,6 +511,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    opt = _opt_config(args)
     ing = ingest_csv(args.data, label_column=args.labels,
                      perturb_sd=args.perturb, drop_constant=args.drop_constant,
                      seed=args.seed)
@@ -520,7 +526,6 @@ def cmd_cluster(args) -> int:
     if args.pca_threshold is not None:
         X, _basis = pca_prefilter(X, args.pca_threshold)
     cc = ClusterConfig(lam=args.lam, seed=args.seed)
-    opt = _opt_config(args)
     if args.init_gmm:
         gmm, _ = _read_model(args.init_gmm)
         if not isinstance(gmm, GmmModel):
@@ -577,6 +582,7 @@ def _parse_grid(text: str, method: str):
 
 
 def cmd_evaluate(args) -> int:
+    opt = _opt_config(args)
     ing = ingest_csv(args.data, label_column=args.labels,
                      perturb_sd=args.perturb, drop_constant=args.drop_constant,
                      seed=args.seed, group_column=args.group)
@@ -609,7 +615,6 @@ def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise ConfigError(f"--method names no method: {args.method!r}")
-    opt = _opt_config(args)
     model = estimate_class_model(train)
     rows = []
     for method in methods:
@@ -764,8 +769,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _format_warning(message, category, filename, lineno, line=None):
+    """One ``warning: <message>`` line, without the source location."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    default_format = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -777,6 +789,8 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DataError, Dataset, check_projection, \
-    estimate_class_model, scatter_from_responsibilities, symmetrize
+    estimate_class_model, scatter_from_responsibilities, symmetrize, \
+    variance_floors
 from .objective import cholesky_factors, classification_log_likelihood, \
-    diag_gaussian_log_densities, diff_log_densities, \
-    full_gaussian_log_densities, grad_objective, \
-    grad_weighted_log_densities, log_densities, projected_variances, \
-    row_logsumexp
+    component_logsumexp, diag_log_densities, full_gaussian_log_densities, \
+    grad_objective, grad_weighted_log_densities, log_densities, \
+    project_covariances, projected_variances
 from .optimizer import OptimConfig, ascend, init_projection
 
 
@@ -127,28 +127,40 @@ def _floor_covariance(S, floor):
 
 
 def _kmeans(X, K, rng, iters: int = 100):
-    """Plain Lloyd iterations with distance-weighted seeding."""
+    """Plain Lloyd iterations with distance-weighted seeding.
+
+    Squared distances are ``||x||^2 - 2 x'c + ||c||^2``, clamped at 0,
+    from one matrix product per pass; the centres are the assignment
+    sums from one product with the one-hot assignment matrix.
+    """
     n = X.shape[0]
+    x2 = np.einsum("ij,ij->i", X, X)
+
+    def sq_dist(C):
+        d2 = x2[:, None] - 2.0 * (X @ C.T) + np.einsum("kj,kj->k", C, C)
+        return np.maximum(d2, 0.0, out=d2)
+
     centers = np.empty((K, X.shape[1]))
     centers[0] = X[rng.integers(n)]
+    closest = sq_dist(centers[:1])[:, 0]
     for k in range(1, K):
-        d2 = np.min(((X[:, None, :] - centers[None, :k, :]) ** 2).sum(-1), axis=1)
-        total = d2.sum()
+        total = closest.sum()
         if total <= 0:
             centers[k] = X[rng.integers(n)]
         else:
-            centers[k] = X[rng.choice(n, p=d2 / total)]
+            centers[k] = X[rng.choice(n, p=closest / total)]
+        np.minimum(closest, sq_dist(centers[k:k + 1])[:, 0], out=closest)
     assign = np.full(n, -1, dtype=int)
+    components = np.arange(K)[:, None]
     for _ in range(iters):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-        new = np.argmin(d2, axis=1)
+        new = np.argmin(sq_dist(centers), axis=1)
         if np.array_equal(new, assign):
             break
         assign = new
-        for k in range(K):
-            pts = X[assign == k]
-            if len(pts):
-                centers[k] = pts.mean(axis=0)
+        onehot = (assign[None, :] == components).astype(float)
+        counts = onehot.sum(axis=1)
+        filled = counts > 0
+        centers[filled] = (onehot[filled] @ X) / counts[filled, None]
     return assign
 
 
@@ -226,11 +238,11 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
         weights = weights / weights.sum()
         # E-step
         ld = full_gaussian_log_densities(X, means, covs)
-        joint = np.log(weights)[None, :] + ld
-        ll_per_point = row_logsumexp(joint)
+        joint = np.log(weights)[:, None] + ld.T
+        ll_per_point = component_logsumexp(joint)
         ll = float(ll_per_point.sum())
         trace.append(ll)
-        R = np.exp(joint - ll_per_point[:, None])
+        R = np.exp(joint - ll_per_point).T
         if _em_converged(trace, config.em_tol):
             break
     else:
@@ -244,11 +256,11 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
 
 
 def responsibilities(X, gmm: GmmModel):
-    """Posterior component probabilities of each observation."""
-    joint = np.log(gmm.weights)[None, :] + \
+    """``n x K`` posterior component probabilities of the observations."""
+    joint = np.log(gmm.weights)[:, None] + \
         full_gaussian_log_densities(np.asarray(X, dtype=float),
-                                    gmm.means, gmm.covariances)
-    return np.exp(joint - row_logsumexp(joint, keepdims=True))
+                                    gmm.means, gmm.covariances).T
+    return np.exp(joint - component_logsumexp(joint, keepdims=True)).T
 
 
 def hard_labels(X, gmm: GmmModel):
@@ -265,9 +277,9 @@ def cluster_objective(X, V, gmm: GmmModel, lam: float) -> float:
     """Max-component log-posterior sum minus the orthonormality penalty."""
     X = np.asarray(X, dtype=float)
     V = check_projection(V, gmm.p)
-    joint = np.log(gmm.weights)[None, :] + \
-        log_densities(X, V, gmm.means, gmm.covariances)
-    term1 = float((joint.max(axis=1) - row_logsumexp(joint)).sum())
+    joint = np.log(gmm.weights)[:, None] + \
+        log_densities(X, V, gmm.means, gmm.covariances).T
+    term1 = float((joint.max(axis=0) - component_logsumexp(joint)).sum())
     return term1 - lam * _penalty(V)
 
 
@@ -284,14 +296,13 @@ def grad_cluster_objective(X, V, gmm: GmmModel, lam: float):
     """
     X = np.asarray(X, dtype=float)
     V = check_projection(V, gmm.p)
-    pv = projected_variances(V, gmm.covariances)
-    diffs = (X @ V)[:, None, :] - (gmm.means @ V)[None, :, :]
-    joint = np.log(gmm.weights)[None, :] + diff_log_densities(diffs, pv)
-    post = np.exp(joint - row_logsumexp(joint, keepdims=True))
-    hard = np.zeros_like(post)
-    hard[np.arange(X.shape[0]), np.argmax(joint, axis=1)] = 1.0
-    G = grad_weighted_log_densities(X, V, gmm.means, gmm.covariances, pv,
-                                    diffs, hard - post)
+    CV, pv = project_covariances(V, gmm.covariances,
+                                 variance_floors(gmm.covariances))
+    diffs = (V.T @ X.T)[None] - (gmm.means @ V)[:, :, None]
+    joint = np.log(gmm.weights)[:, None] + diag_log_densities(diffs, pv)
+    W = -np.exp(joint - component_logsumexp(joint, keepdims=True))
+    W[np.argmax(joint, axis=0), np.arange(X.shape[0])] += 1.0
+    G = grad_weighted_log_densities(X, gmm.means, CV, pv, diffs, W)
     return G - 4.0 * lam * V @ (V.T @ V - np.eye(V.shape[1]))
 
 
@@ -365,32 +376,36 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
     """Diagonal-covariance EM in the projected space, warm-started.
 
     Stops like :func:`fit_gmm_em`: by :func:`_em_converged`, or at
-    ``config.em_max_iters`` with a ``UserWarning``.
+    ``config.em_max_iters`` with a ``UserWarning``. Either way the last
+    pass is an E-step: the returned ``n x K`` responsibilities are those
+    of the returned mixture.
     """
     n = Z.shape[0]
+    ZT = np.ascontiguousarray(Z.T)
     floor = config.cov_floor * max(float(np.var(Z, axis=0).mean()), 1e-12)
     variances = np.maximum(variances, floor)
     trace = []
-    for _ in range(config.em_max_iters + 1):
-        joint = np.log(weights)[None, :] + \
-            diag_gaussian_log_densities(Z, means, variances)
-        ll_per_point = row_logsumexp(joint)
+    for it in range(config.em_max_iters + 1):
+        joint = np.log(weights)[:, None] + \
+            diag_log_densities(ZT[None] - means[:, :, None], variances)
+        ll_per_point = component_logsumexp(joint)
         ll = float(ll_per_point.sum())
         trace.append(ll)
-        R = np.exp(joint - ll_per_point[:, None])
+        R = np.exp(joint - ll_per_point)
         if _em_converged(trace, config.em_tol):
             break
-        # M-step, one coordinate at a time on K x n arrays
-        mass = R.sum(axis=0)
+        if it == config.em_max_iters:
+            warnings.warn(f"projected EM stopped at its cap of "
+                          f"{config.em_max_iters} iterations before converging")
+            break
+        # M-step on (K, d, n) differences
+        mass = R.sum(axis=1)
         dead = mass < 1e-10
         divisor = np.where(dead, 1.0, mass)[:, None]
-        means = R.T @ Z / divisor
-        for j in range(Z.shape[1]):
-            D = Z[:, j][None, :] - means[:, j, None]
-            D *= D
-            D *= R.T
-            variances[:, j] = D.sum(axis=1)
-        variances = np.maximum(variances / divisor, floor)
+        means = R @ Z / divisor
+        D = ZT[None] - means[:, :, None]
+        D *= D
+        variances = np.maximum((D @ R[:, :, None])[:, :, 0] / divisor, floor)
         weights = mass / n
         for k in np.flatnonzero(dead):
             warnings.warn(f"projected component {k + 1} lost all "
@@ -399,10 +414,7 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
             variances[k] = np.maximum(np.var(Z, axis=0), floor)
             weights[k] = 1.0 / n
         weights = weights / weights.sum()
-    else:
-        warnings.warn(f"projected EM stopped at its cap of "
-                      f"{config.em_max_iters} iterations before converging")
-    return weights, means, variances, R, np.asarray(trace)
+    return weights, means, variances, R.T, np.asarray(trace)
 
 
 def enhance_gmm(X, gmm: GmmModel, dim: int, config: ClusterConfig | None = None,

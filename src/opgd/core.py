@@ -13,8 +13,13 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+# Projected variances are clamped below at this fraction of trace/p of the
+# corresponding class covariance; clamp events are counted, never raised.
+VARIANCE_FLOOR_FRAC = 1e-12
 
 
 class OpgdError(Exception):
@@ -110,6 +115,18 @@ class Dataset:
         """Number of classes, present iff labels are present."""
         return int(self.labels.max()) if self.labels is not None else None
 
+    @cached_property
+    def label_index(self):
+        """``(labels - 1, arange(n))``, which picks each observation's own
+        class from a ``K x n`` array; ``None`` without labels. Computed
+        once."""
+        if self.labels is None:
+            return None
+        index = (self.labels - 1, np.arange(self.n))
+        for a in index:
+            a.setflags(write=False)
+        return index
+
 
 @dataclass(frozen=True)
 class GaussianClassModel:
@@ -139,6 +156,27 @@ class GaussianClassModel:
     @property
     def p(self) -> int:
         return self.means.shape[1]
+
+    @cached_property
+    def log_priors(self):
+        """``log(priors)``, computed once."""
+        return _readonly(np.log(self.priors))
+
+    @cached_property
+    def floors(self):
+        """:func:`variance_floors` of the class covariances, computed
+        once."""
+        return _readonly(variance_floors(self.covariances))
+
+
+def variance_floors(covariances):
+    """Per-component floor on projected variances: ``1e-12 *
+    trace(Sigma_k) / p``, with an absolute fallback of 1e-300 for
+    all-zero covariances, which only occur on degenerate inputs."""
+    covariances = np.asarray(covariances, dtype=float)
+    floors = VARIANCE_FLOOR_FRAC * np.einsum("kii->k", covariances) \
+        / covariances.shape[1]
+    return np.maximum(floors, 1e-300)
 
 
 @dataclass(frozen=True)

@@ -14,23 +14,36 @@ densities. ``ell1`` collapses to a closed form whose data-dependent part
 is ``-1/2 sum_k n_k sum_j log(v_j' Sigma_k v_j)``; ``ell2`` and the
 posteriors are evaluated with a per-observation log-sum-exp shift.
 
+The projected model is evaluated observation-last: the projected
+differences ``D[k, j, i] = v_j'(x_i - mu_k)`` are a C-contiguous
+``(K, p', n)`` array formed from ``V' X'``, and log-densities,
+log-posteriors and posteriors are ``(K, n)``. With the few coordinates
+of a projection and the few classes of a problem, numpy's inner loops
+then run over the n observations, not over 2 to 10 entries. The public
+functions that return one row per observation (:func:`log_densities`,
+:func:`posteriors`) transpose at the boundary.
+
 All gradients here are exact: the dependence of the projected means and
 variances on ``V`` is differentiated through, not held fixed. The
-gradient of any weighted sum ``sum_ik W_ik log phi_k(V'x_i)`` needs the
-weighted scatters ``S_k = sum_i W_ik (x_i - mu_k)(x_i - mu_k)'`` only
+gradient of any weighted sum ``sum_ik W_ki log phi_k(V'x_i)`` needs the
+weighted scatters ``S_k = sum_i W_ki (x_i - mu_k)(x_i - mu_k)'`` only
 through ``S_k V`` and ``v_j' S_k v_j``, and both come straight from the
-projected differences ``D_ik = V'(x_i - mu_k)``:
+projected differences ``d_ki = V'(x_i - mu_k)``, the columns
+``D[k, :, i]``:
 
-    S_k V = sum_i W_ik x_i D_ik' - mu_k (sum_i W_ik D_ik)',
-    v_j' S_k v_j = sum_i W_ik D_ikj^2,
+    S_k V = sum_i W_ki x_i d_ki' - mu_k (sum_i W_ki d_ki)',
+    v_j' S_k v_j = sum_i W_ki D_kji^2,
 
 so no p x p scatter is formed. That gradient is linear in ``W``: the
 supervised ``ell2`` uses the posteriors, the clustering objective the
-hard assignments minus the posteriors, in one call each.
+hard assignments minus the posteriors, in one call each. It also needs
+``Sigma_k V``, the same product the projected variances come from, so
+one evaluation computes it once and the gradient reuses it.
 
-The diagonal and full-covariance Gaussian log-density routines here are
-the only ones in the package; the classifier and the mixture code call
-them too. The full-covariance quadratic ``(z - mu_k)' Sigma_k^{-1}
+:func:`diag_log_densities` is the package's one diagonal Gaussian
+log-density routine and :func:`full_gaussian_log_densities` its one
+full-covariance routine; the classifier and the mixture code call them
+too. The full-covariance quadratic ``(z - mu_k)' Sigma_k^{-1}
 (z - mu_k)`` is ``||(Z - mu_k) L_k^{-T}||^2`` row by row for the
 Cholesky factor ``L_k``. All K factors come from one batched Cholesky
 and one batched inverse, and all K quadratics from one matrix product
@@ -39,17 +52,20 @@ means ``-(mu_k - c)' L_k^{-T}`` in the extra row; the shift ``c`` is the
 mean of the component means. Only numpy's LAPACK is used, so the
 package runs on one BLAS thread pool.
 
-Every row-wise log-sum-exp in the package goes through
-:func:`row_logsumexp`, which does the arithmetic of
-``scipy.special.logsumexp`` (max shift, the largest term kept out of the
-sum and added through ``log1p``) in plain NumPy and gives the same
-results. scipy's array-API dispatch costs several times that arithmetic
-at the package's shapes, and the ascents take thousands of these sums.
+Every log-sum-exp in the package goes through
+:func:`component_logsumexp`, which reduces a ``(K, n)`` array over its
+component axis with the arithmetic of ``scipy.special.logsumexp`` (max
+shift, the largest term kept out of the sum and added through
+``log1p``) in plain NumPy and gives the same results. scipy's array-API
+dispatch costs several times that arithmetic at the package's shapes,
+and the ascents take thousands of these sums.
 
 A :class:`GradientWorkspace` holds one evaluation of the supervised
-objective: the projected differences, posteriors and log-likelihood. The
-gradient at the same projection is built from it without evaluating the
-densities again.
+objective: ``Sigma_k V``, the projected variances and differences, the
+posteriors and the log-likelihood. The gradient at the same projection
+is built from it without evaluating the densities again. Terms that do
+not depend on ``V`` (log priors, variance floors, the own-class index)
+are cached on the model and the dataset, not recomputed per evaluation.
 """
 
 from __future__ import annotations
@@ -60,11 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, GaussianClassModel, NumericalError, \
-    check_projection, symmetrize
-
-# Projected variances are clamped below at this fraction of trace/p of the
-# corresponding class covariance; clamp events are counted, never raised.
-VARIANCE_FLOOR_FRAC = 1e-12
+    check_projection, symmetrize, variance_floors
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -83,6 +95,21 @@ class ClampStats:
         self.count += int(k)
 
 
+def project_covariances(V, covariances, floors, clamp: ClampStats | None = None):
+    """``Sigma_k V`` as a ``(K, p, p')`` array, and the ``K x p'``
+    projected variances ``v_j' Sigma_k v_j`` taken from it, clamped
+    below at ``floors[k]`` (see :func:`~opgd.core.variance_floors`);
+    clamp events are counted into ``clamp``."""
+    CV = covariances @ V
+    pv = np.einsum("kij,ij->kj", CV, V)
+    low = pv < floors[:, None]
+    if np.any(low):
+        if clamp is not None:
+            clamp.add(low.sum())
+        pv = np.where(low, floors[:, None], pv)
+    return CV, pv
+
+
 def projected_variances(V, covariances, clamp: ClampStats | None = None):
     """``K x p'`` matrix of v_j' Sigma_k v_j, floored to stay positive.
 
@@ -91,68 +118,45 @@ def projected_variances(V, covariances, clamp: ClampStats | None = None):
     occur on degenerate inputs).
     """
     covariances = np.asarray(covariances, dtype=float)
-    V = np.asarray(V, dtype=float)
-    pv = np.einsum("ij,kil,lj->kj", V, covariances, V)
-    p = covariances.shape[1]
-    floors = VARIANCE_FLOOR_FRAC * np.einsum("kii->k", covariances) / p
-    floors = np.maximum(floors, 1e-300)
-    low = pv < floors[:, None]
-    if np.any(low):
-        if clamp is not None:
-            clamp.add(low.sum())
-        pv = np.where(low, floors[:, None], pv)
-    return pv
+    return project_covariances(np.asarray(V, dtype=float), covariances,
+                               variance_floors(covariances), clamp)[1]
 
 
-def row_logsumexp(a, keepdims: bool = False):
-    """``log sum_k exp(a_ik)`` for each row of a 2-d array.
+def component_logsumexp(a, keepdims: bool = False):
+    """``log sum_k exp(a_ki)`` over the component axis (axis 0) of a
+    ``(K, n)`` array.
 
-    The arithmetic of ``scipy.special.logsumexp(a, axis=1)``: each row is
-    shifted by its max (by 0 when the max is not finite), and the max
-    term is left out of the sum and added back through ``log1p``, which
-    keeps ``a_iy - lse_i`` accurate when one term dominates. An all
-    ``-inf`` row gives ``-inf``, a row holding ``+inf`` gives ``inf``,
-    with no warning.
+    The arithmetic of ``scipy.special.logsumexp(a, axis=0)``: each
+    column is shifted by its max (by 0 when the max is not finite), and
+    the max term is left out of the sum and added back through
+    ``log1p``, which keeps ``a_yi - lse_i`` accurate when one term
+    dominates. When several terms tie at the max, all of them are left
+    out and all but one are added back as a count (each is exactly 1
+    after the shift), which finds the max terms without an ``argmax``
+    along the short axis. An all ``-inf`` column gives ``-inf``, a
+    column holding ``+inf`` gives ``inf``, with no warning.
     """
-    rows = np.arange(a.shape[0])
-    top = a.argmax(axis=1)
-    amax = a[rows, top][:, None]
+    amax = a.max(axis=0)
     with np.errstate(over="ignore"):
         terms = np.exp(a - np.where(np.isfinite(amax), amax, 0.0))
-    terms[rows, top] = 0.0
-    out = np.log1p(terms.sum(axis=1, keepdims=True)) + amax
-    return out if keepdims else out[:, 0]
+    top = a == amax
+    rest = np.where(top, 0.0, terms).sum(axis=0) \
+        + (np.count_nonzero(top, axis=0) - 1)
+    out = np.log1p(rest) + amax
+    return out[None, :] if keepdims else out
 
 
-def _diag_log_norm(variances):
-    """``log`` of each diagonal Gaussian's normalizing constant."""
-    return -0.5 * variances.shape[1] * LOG_2PI \
-        - 0.5 * np.log(variances).sum(axis=1)
+def diag_log_densities(diffs, variances):
+    """``(K, n)`` diagonal-Gaussian log-densities from the differences
+    ``diffs[k, j, i] = z_ij - means[k, j]``, shape ``(K, d, n)``.
 
-
-def diff_log_densities(diffs, variances):
-    """``n x K`` diagonal-Gaussian log-densities from the differences
-    ``diffs[i, k] = z_i - means[k]``, shape ``(n, K, d)``."""
-    quad = np.einsum("ikj,kj->ik", diffs * diffs, 1.0 / variances)
-    return _diag_log_norm(variances)[None, :] - 0.5 * quad
-
-
-def diag_gaussian_log_densities(Z, means, variances):
-    """``n x K`` diagonal-Gaussian log-densities of the rows of ``Z``.
-
-    Entry (i, k) is ``log N(z_i; means[k], diag(variances[k]))``. The
-    quadratic is accumulated one coordinate at a time on ``K x n``
-    arrays: with the few coordinates of a projection, ``(n, K, d)``
-    differences would put numpy's inner loops on the short last axis.
+    Entry (k, i) is ``log N(z_i; means[k], diag(variances[k]))``; the K
+    quadratics are one batched ``(1, d) x (d, n)`` product.
     """
-    inv = 1.0 / variances
-    quad = np.zeros((means.shape[0], Z.shape[0]))
-    for j in range(Z.shape[1]):
-        diff = Z[:, j][None, :] - means[:, j, None]
-        diff *= diff
-        diff *= inv[:, j, None]
-        quad += diff
-    return _diag_log_norm(variances)[None, :] - 0.5 * quad.T
+    quad = ((1.0 / variances)[:, None, :] @ (diffs * diffs))[:, 0, :]
+    norm = -0.5 * variances.shape[1] * LOG_2PI \
+        - 0.5 * np.log(variances).sum(axis=1)
+    return norm[:, None] - 0.5 * quad
 
 
 def cholesky_factors(S):
@@ -223,12 +227,15 @@ def full_gaussian_log_densities(Z, means, covariances):
 def log_densities(X, V, means, covariances, clamp: ClampStats | None = None):
     """``n x K`` matrix of projected diagonal-Gaussian log-densities.
 
-    Entry (i, k) is ``log N(V'x_i; V'mu_k, diag(v_j' Sigma_k v_j))``.
+    Entry (i, k) is ``log N(V'x_i; V'mu_k, diag(v_j' Sigma_k v_j))``. The
+    result is the transpose of a C-contiguous ``(K, n)`` array, so
+    ``log_densities(...).T`` is that array without a copy.
     """
     V = np.asarray(V, dtype=float)
     pv = projected_variances(V, covariances, clamp)
-    return diag_gaussian_log_densities(np.asarray(X, dtype=float) @ V,
-                                       np.asarray(means, dtype=float) @ V, pv)
+    diffs = (V.T @ np.asarray(X, dtype=float).T)[None] \
+        - (np.asarray(means, dtype=float) @ V)[:, :, None]
+    return diag_log_densities(diffs, pv).T
 
 
 def log_density_projected(x, V, mean, cov, clamp: ClampStats | None = None) -> float:
@@ -263,56 +270,64 @@ def grad_log_density_projected(x, V, mean, cov):
 class GradientWorkspace:
     """One evaluation of the supervised objective at a projection.
 
-    ``diffs[i, k, j]`` is the projected difference ``v_j'(x_i - mu_k)``,
-    formed once per evaluation; the log-densities, the posteriors and the
-    log-likelihood come from it, and so does the gradient (see
-    :func:`grad_weighted_log_densities`). ``log_likelihood`` is ``None``
-    for an unlabeled dataset.
+    ``cov_proj[k] = Sigma_k V`` and ``proj_vars[k, j] = v_j' Sigma_k v_j``
+    come from one product; ``diffs[k, j, i]`` is the projected difference
+    ``v_j'(x_i - mu_k)``. The log-densities, the posteriors and the
+    log-likelihood come from them, and so does the gradient (see
+    :func:`grad_weighted_log_densities`). ``diffs`` and ``posteriors``
+    are C-contiguous with the observations last. ``log_likelihood`` is
+    ``None`` for an unlabeled dataset.
     """
 
+    cov_proj: np.ndarray          # (K, p, p')
     proj_vars: np.ndarray         # (K, p')
-    diffs: np.ndarray             # (n, K, p')
-    posteriors: np.ndarray        # (n, K)
+    diffs: np.ndarray             # (K, p', n)
+    posteriors: np.ndarray        # (K, n)
     log_likelihood: float | None
 
 
 def build_workspace(dataset: Dataset, V, model: GaussianClassModel,
                     clamp: ClampStats | None = None) -> GradientWorkspace:
-    """Evaluate the projected differences, posteriors and log-likelihood
-    at one projection, counting variance clamps into ``clamp``."""
-    V = check_projection(V, model.p)
-    pv = projected_variances(V, model.covariances, clamp)
-    diffs = (dataset.X @ V)[:, None, :] - (model.means @ V)[None, :, :]
-    logpost = np.log(model.priors)[None, :] + diff_log_densities(diffs, pv)
-    lse = row_logsumexp(logpost, keepdims=True)
+    """Evaluate ``Sigma_k V``, the projected variances and differences,
+    the posteriors and the log-likelihood at one projection, counting
+    variance clamps into ``clamp``.
+
+    ``V`` must already be a valid ``p x p'`` projection (see
+    :func:`~opgd.core.check_projection`); the public callers check it,
+    and an ascent checks its start once.
+    """
+    CV, pv = project_covariances(V, model.covariances, model.floors, clamp)
+    diffs = (V.T @ dataset.X.T)[None] - (model.means @ V)[:, :, None]
+    logpost = model.log_priors[:, None] + diag_log_densities(diffs, pv)
+    lse = component_logsumexp(logpost, keepdims=True)
     ll = None
     if dataset.labels is not None:
-        own = logpost[np.arange(dataset.n), dataset.labels - 1]
-        ll = float(np.sum(own - lse[:, 0]))
-    return GradientWorkspace(proj_vars=pv, diffs=diffs,
+        ll = float(np.sum(logpost[dataset.label_index] - lse[0]))
+    return GradientWorkspace(cov_proj=CV, proj_vars=pv, diffs=diffs,
                              posteriors=np.exp(logpost - lse),
                              log_likelihood=ll)
 
 
-def grad_weighted_log_densities(X, V, means, covariances, proj_vars, diffs, W):
-    """Gradient of ``sum_ik W_ik log phi_k(V'x_i)`` with respect to ``V``.
+def grad_weighted_log_densities(X, means, cov_proj, proj_vars, diffs, W):
+    """Gradient of ``sum_ik W_ki log phi_k(V'x_i)`` with respect to ``V``.
 
-    ``proj_vars[k, j] = s_kj = v_j' Sigma_k v_j`` and ``diffs[i, k, j] =
-    v_j'(x_i - mu_k)``; ``W`` may be negative. Column j sums, over k,
-    ``(1/s_kj) [ (v_j'S_k v_j / s_kj - sum_i W_ik) Sigma_k - S_k ] v_j``
+    ``cov_proj[k] = Sigma_k V``, ``proj_vars[k, j] = s_kj = v_j' Sigma_k
+    v_j`` and ``diffs[k, j, i] = v_j'(x_i - mu_k)``; ``W`` is ``(K, n)``
+    and may be negative. Column j sums, over k,
+    ``(1/s_kj) [ (v_j'S_k v_j / s_kj - sum_i W_ki) Sigma_k - S_k ] v_j``
     for the ``W``-weighted scatters ``S_k``, which enter only through the
     scatter-free identities in the module docstring: O(K n p p') work
     instead of the O(K n p^2) of forming them. All K components share
-    one ``p x n`` by ``n x K p'`` product.
+    one ``K p' x n`` by ``n x p`` product.
     """
-    n, K, d = diffs.shape
-    WD = diffs * W[:, :, None]                                   # (n, K, p')
-    XWD = (X.T @ WD.reshape(n, K * d)).reshape(-1, K, d)         # (p, K, p')
-    SV = XWD.transpose(1, 0, 2) \
-        - means[:, :, None] * WD.sum(axis=0)[:, None, :]        # S_k V
-    coef = (np.einsum("ikj,ikj->kj", WD, diffs) / proj_vars
-            - W.sum(axis=0)[:, None]) / proj_vars
-    return ((covariances @ V) * coef[:, None, :]
+    K, d, n = diffs.shape
+    WD = diffs * W[:, None, :]                                   # (K, p', n)
+    XWD = (WD.reshape(K * d, n) @ X).reshape(K, d, -1)           # (K, p', p)
+    SV = XWD.transpose(0, 2, 1) \
+        - means[:, :, None] * WD.sum(axis=2)[:, None, :]        # S_k V
+    coef = (np.einsum("kjn,kjn->kj", WD, diffs) / proj_vars
+            - W.sum(axis=1)[:, None]) / proj_vars
+    return (cov_proj * coef[:, None, :]
             - SV / proj_vars[:, None, :]).sum(axis=0)
 
 
@@ -323,13 +338,8 @@ def posteriors(dataset: Dataset, V, model: GaussianClassModel,
     Rows sum to one; computed with a log-sum-exp shift, so the result is
     invariant to positive rescaling of any column of ``V``.
     """
-    return build_workspace(dataset, V, model, clamp).posteriors
-
-
-def _as_checked(V, model):
-    """``V`` as the ``p x p'`` array a workspace was built from, without
-    validating it again."""
-    return np.asarray(V, dtype=float).reshape(model.p, -1)
+    V = check_projection(V, model.p)
+    return build_workspace(dataset, V, model, clamp).posteriors.T
 
 
 def _require_labels(dataset):
@@ -345,6 +355,7 @@ def classification_log_likelihood(dataset: Dataset, V, model: GaussianClassModel
     one on its own class. Equals ``sum_i log prior_{y_i} + ell1 - ell2``.
     """
     _require_labels(dataset)
+    V = check_projection(V, model.p)
     return build_workspace(dataset, V, model, clamp).log_likelihood
 
 
@@ -376,51 +387,44 @@ def ell1_direct(dataset: Dataset, V, model: GaussianClassModel) -> float:
 def ell2(dataset: Dataset, V, model: GaussianClassModel) -> float:
     """Log mixture-density sum, via per-observation log-sum-exp."""
     V = check_projection(V, model.p)
-    ld = log_densities(dataset.X, V, model.means, model.covariances)
-    return float(row_logsumexp(np.log(model.priors)[None, :] + ld).sum())
+    ld = log_densities(dataset.X, V, model.means, model.covariances).T
+    return float(component_logsumexp(model.log_priors[:, None] + ld).sum())
 
 
 def grad_ell1(dataset: Dataset, V, model: GaussianClassModel,
               workspace: GradientWorkspace | None = None):
     """Gradient of :func:`ell1`: column j is -(sum_k n_k/s_kj Sigma_k) v_j.
 
-    The projected variances ``s_kj`` come from ``workspace`` when given;
-    ``V`` is then taken as the projection it was built from, which
-    :func:`build_workspace` validated.
+    ``Sigma_k V`` and the projected variances ``s_kj`` come from
+    ``workspace`` when given; otherwise from ``V``.
     """
     _require_labels(dataset)
     if workspace is None:
         V = check_projection(V, model.p)
-        pv = projected_variances(V, model.covariances)
+        CV, pv = project_covariances(V, model.covariances, model.floors)
     else:
-        V = _as_checked(V, model)
-        pv = workspace.proj_vars
-    return -((model.covariances @ V)
-             * (model.counts[:, None] / pv)[:, None, :]).sum(axis=0)
+        CV, pv = workspace.cov_proj, workspace.proj_vars
+    return -(CV * (model.counts[:, None] / pv)[:, None, :]).sum(axis=0)
 
 
 def grad_ell2(dataset: Dataset, V, model: GaussianClassModel,
               workspace: GradientWorkspace | None = None):
     """Gradient of :func:`ell2`.
 
-    It equals the gradient of ``sum_ik p_ik log phi_k(V'x_i)`` with the
+    It equals the gradient of ``sum_ik p_ki log phi_k(V'x_i)`` with the
     posteriors ``p`` held fixed, so column j is
-    ``sum_k (1/s_kj) [ (v_j'S_k v_j / s_kj - sum_i p_ik) Sigma_k -
+    ``sum_k (1/s_kj) [ (v_j'S_k v_j / s_kj - sum_i p_ki) Sigma_k -
     S_k ] v_j`` for the posterior-weighted scatters ``S_k``. Those are
-    never formed: ``S_k V = sum_i p_ik (x_i - mu_k) D_ik'`` and
-    ``v_j'S_k v_j = sum_i p_ik D_ikj^2`` come from the projected
+    never formed: ``S_k V = sum_i p_ki (x_i - mu_k) d_ki'`` and
+    ``v_j'S_k v_j = sum_i p_ki D_kji^2`` come from the projected
     differences ``D`` in ``workspace`` (built once per evaluation when not
-    supplied, else taken as built from a validated ``V``). The kernel is
-    linear in the weights, which the clustering gradient relies on.
+    supplied). The kernel is linear in the weights, which the clustering
+    gradient relies on.
     """
-    if workspace is None:
-        V = check_projection(V, model.p)
-        ws = build_workspace(dataset, V, model)
-    else:
-        V, ws = _as_checked(V, model), workspace
-    return grad_weighted_log_densities(dataset.X, V, model.means,
-                                       model.covariances, ws.proj_vars,
-                                       ws.diffs, ws.posteriors)
+    ws = workspace if workspace is not None \
+        else build_workspace(dataset, check_projection(V, model.p), model)
+    return grad_weighted_log_densities(dataset.X, model.means, ws.cov_proj,
+                                       ws.proj_vars, ws.diffs, ws.posteriors)
 
 
 def grad_objective(dataset: Dataset, V, model: GaussianClassModel,
@@ -430,5 +434,6 @@ def grad_objective(dataset: Dataset, V, model: GaussianClassModel,
     Both terms share one workspace, built here when not supplied.
     """
     _require_labels(dataset)
-    ws = workspace if workspace is not None else build_workspace(dataset, V, model)
+    ws = workspace if workspace is not None \
+        else build_workspace(dataset, check_projection(V, model.p), model)
     return grad_ell1(dataset, V, model, ws) - grad_ell2(dataset, V, model, ws)

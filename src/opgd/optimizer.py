@@ -22,8 +22,11 @@ import numpy as np
 
 from .core import ConfigError, Dataset, GaussianClassModel, NumericalError, \
     ScatterMatrices, check_projection, symmetrize
-from .objective import ClampStats, build_workspace, classification_log_likelihood, \
-    grad_ell1, grad_ell2
+# Nothing here calls ``classification_log_likelihood`` any more; it stays
+# importable from this module because perfbench's tracer wraps it here.
+from .objective import ClampStats, build_workspace, \
+    classification_log_likelihood, component_logsumexp, diag_log_densities, \
+    grad_ell1, grad_ell2  # noqa: F401
 
 # Line search gives up below this step size.
 MIN_STEP = 1e-14
@@ -293,12 +296,14 @@ def maximize(dataset: Dataset, model: GaussianClassModel, V0,
              clamp: ClampStats | None = None):
     """Maximize the classification log-likelihood over projections.
 
+    ``V0`` is checked once; the ascent's iterates are not checked again.
     Each value call builds a :class:`~opgd.objective.GradientWorkspace`
-    (projected variances, differences, posteriors, log-likelihood) and
-    keeps the last one. :func:`ascend` asks for the gradient only at the
-    point it just valued, so the gradient reuses that workspace instead
-    of evaluating the densities again; at any other point it builds its
-    own. An accepted point's clamps are therefore counted once.
+    (``Sigma_k V``, projected variances and differences, posteriors,
+    log-likelihood) and keeps the last one. :func:`ascend` asks for the
+    gradient only at the point it just valued, so the gradient reuses
+    that workspace instead of evaluating the densities again; at any
+    other point it builds its own. An accepted point's clamps are
+    therefore counted once.
 
     Returns ``(V, trace)``; see :func:`ascend` for the trace contract.
     """
@@ -310,14 +315,15 @@ def maximize(dataset: Dataset, model: GaussianClassModel, V0,
 
     def value(V):
         last["V"] = np.array(V, dtype=float)
-        last["ws"] = build_workspace(dataset, V, model, clamp)
+        last["ws"] = build_workspace(dataset, last["V"], model, clamp)
         return last["ws"].log_likelihood
 
     def grad(V):
         if "V" in last and np.array_equal(V, last["V"]):
             ws = last["ws"]
         else:
-            ws = build_workspace(dataset, V, model, clamp)
+            ws = build_workspace(dataset, np.asarray(V, dtype=float), model,
+                                 clamp)
         return grad_ell1(dataset, V, model, ws) - grad_ell2(dataset, V, model, ws)
 
     return ascend(value, grad, V0, config, scale=float(dataset.n))
@@ -330,21 +336,34 @@ def order_columns(dataset: Dataset, V, model: GaussianClassModel):
     later position appends the remaining column that maximizes the
     objective of the augmented set. Ties go to the lowest original
     index. The column set is preserved exactly.
+
+    Under the diagonal model a column subset's log-posteriors are the
+    log priors plus a sum of per-column log-densities, so those are
+    evaluated once at the full ``V``; each candidate then costs one
+    addition and one log-sum-exp.
     """
+    if dataset.labels is None:
+        raise ValueError("a labeled dataset is required")
     V = check_projection(V, model.p)
     m = V.shape[1]
     if m == 1:
         return V.copy()
+    ws = build_workspace(dataset, V, model)
+    terms = [diag_log_densities(ws.diffs[:, j:j + 1], ws.proj_vars[:, j:j + 1])
+             for j in range(m)]
+    base = model.log_priors[:, None]
     order: list[int] = []
     remaining = list(range(m))
-    while remaining:
+    while len(remaining) > 1:
         best_j = remaining[0]
         best_val = -np.inf
         for j in remaining:
-            val = classification_log_likelihood(
-                dataset, V[:, order + [j]], model)
+            logpost = base + terms[j]
+            val = float(np.sum(logpost[dataset.label_index]
+                               - component_logsumexp(logpost)))
             if val > best_val:
                 best_val, best_j = val, j
         order.append(best_j)
         remaining.remove(best_j)
-    return V[:, order]
+        base = base + terms[best_j]
+    return V[:, order + remaining]

@@ -454,10 +454,20 @@ class TestCommands:
         ["fit", "--method", "opgd", "--epsilon", "nan"],
         ["fit", "--method", "opgd", "--epsilon", "inf"],
         ["cluster", "--clusters", "3", "--epsilon", "nan"],
+        ["fit", "--method", "lda", "--epsilon", "nan"],
+        ["fit", "--method", "rda", "--ridge", "inf"],
+        ["fit", "--method", "save", "--ridge", "-1"],
+        ["features", "--method", "lda", "--epsilon", "0"],
+        ["features", "--method", "save", "--ridge", "nan"],
+        ["evaluate", "--method", "lda", "--epsilon", "nan"],
+        ["evaluate", "--method", "rda,save", "--ridge=-inf"],
     ], ids=["grid_word", "grid_inf", "split_words", "split_nan",
             "zero_clusters", "perturb_nan", "perturb_inf", "method_empty",
             "method_comma", "lambda_nan", "lambda_inf", "ridge_nan",
-            "epsilon_nan", "epsilon_inf", "cluster_epsilon_nan"])
+            "epsilon_nan", "epsilon_inf", "cluster_epsilon_nan",
+            "lda_epsilon_nan", "rda_ridge_inf", "save_ridge_negative",
+            "features_lda_epsilon_zero", "features_save_ridge_nan",
+            "evaluate_lda_epsilon_nan", "evaluate_rda_save_ridge_ninf"])
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, command):
         data = _blob_csv(tmp_path / "d.csv", seed=4)
         rc = main([command[0], "--data", data, "--labels", "y",
@@ -465,6 +475,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "o.tsv.manifest").exists()
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_gradcheck_without_trials_is_config_error(self, capsys, trials):
@@ -536,3 +547,34 @@ def test_no_scipy_at_run_time(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("first_cov_diag, rc", [([1.0, 1.0, 0.0], 0),
+                                                ([1.0, -1.0, 1.0], 4)],
+                         ids=["singular", "indefinite"])
+def test_library_warnings_print_one_line(tmp_path, first_cov_diag, rc):
+    """Under the console script, a library warning prints as one
+    ``warning: <message>`` line on stderr, with no source path and no
+    ``warnings.warn(...)`` line, and the exit code is kept."""
+    data = _blob_csv(tmp_path / "d.csv", seed=4, extra_cols=1)
+    gmm = GmmModel(weights=np.full(3, 1.0 / 3.0),
+                   means=np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0],
+                                   [0.0, 4.0, 0.0]]),
+                   covariances=np.stack([np.diag(first_cov_diag),
+                                         np.eye(3), np.eye(3)]))
+    init = _write(tmp_path / "init.gmm", serialize_model(gmm, "0" * 16))
+    argv = ["cluster", "--data", data, "--labels", "y", "--clusters", "3",
+            "--dim", "2", "--init-gmm", init,
+            "--out", str(tmp_path / "clu.tsv")]
+    script = f"import sys\nimport opgd.cli\nsys.exit(opgd.cli.main({argv!r}))\n"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opgd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == rc, run.stderr
+    lines = run.stderr.splitlines()
+    assert lines[0].startswith("warning: singular covariance; adding ridge ")
+    assert all(line.startswith(("warning: ", "error: ")) for line in lines)
+    assert (lines[-1].startswith("error: ")) == (rc != 0)
+    assert ".py" not in run.stderr and "warnings.warn" not in run.stderr

@@ -60,6 +60,29 @@ def _fd_gradient(fn, V, h=1e-6):
     return G
 
 
+def _reference_kmeans(X, K, rng, iters=100):
+    """Lloyd iterations on explicit ``(n, K, p)`` differences, centres
+    from boolean-mask means: the loop the matrix-product distances
+    replace."""
+    n = X.shape[0]
+    centers = np.empty((K, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    for k in range(1, K):
+        d2 = np.min(((X[:, None, :] - centers[None, :k, :]) ** 2).sum(-1),
+                    axis=1)
+        centers[k] = X[rng.choice(n, p=d2 / d2.sum())]
+    assign = np.full(n, -1, dtype=int)
+    for _ in range(iters):
+        new = np.argmin(((X[:, None, :] - centers[None]) ** 2).sum(-1), axis=1)
+        if np.array_equal(new, assign):
+            break
+        assign = new
+        for k in range(K):
+            if np.any(assign == k):
+                centers[k] = X[assign == k].mean(axis=0)
+    return assign
+
+
 def _reference_em(X, K, config):
     """Full-covariance EM one component at a time, with scipy's Cholesky
     and triangular solve: the loop the batched EM replaces."""
@@ -352,6 +375,23 @@ class TestClusterObjective:
         np.testing.assert_allclose(G, ref, atol=1e-9)
 
 
+class TestKmeans:
+    @pytest.mark.parametrize("seed", range(7, 20))
+    def test_partitions_match_explicit_differences(self, seed):
+        """Five overlapping clusters on a pentagon under 18 noise columns
+        of sd 6, 3,000 points: the shape of the benchmark's cluster
+        workload."""
+        rng = np.random.default_rng(seed)
+        angles = 2.0 * np.pi * np.arange(5) / 5
+        centers = 8.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+        y = rng.integers(0, 5, 3000)
+        X = np.hstack([centers[y] + 4.0 * rng.standard_normal((3000, 2)),
+                       6.0 * rng.standard_normal((3000, 18))])
+        np.testing.assert_array_equal(
+            _kmeans(X, 5, np.random.default_rng(0)),
+            _reference_kmeans(X, 5, np.random.default_rng(0)))
+
+
 class TestDiagEm:
     @staticmethod
     def _start():
@@ -375,6 +415,21 @@ class TestDiagEm:
                           match="projected EM stopped at its cap of 3 "):
             got = _diag_em(X, *start, ClusterConfig(em_max_iters=3))
         assert len(got[4]) == 4
+
+    def test_cap_returns_the_mixture_of_its_last_e_step(self):
+        """At the cap the responsibilities, and so the labels, are those
+        of the returned mixture: no M-step follows the last E-step."""
+        X, start = self._start()
+        with pytest.warns(UserWarning, match="at its cap of 3 "):
+            weights, means, variances, R, _ = _diag_em(
+                X, *start, ClusterConfig(em_max_iters=3))
+        joint = np.log(weights)[None, :] + np.column_stack([
+            multivariate_normal.logpdf(X, mean=m, cov=np.diag(v))
+            for m, v in zip(means, variances)])
+        want = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
+        np.testing.assert_array_equal(np.argmax(R, axis=1),
+                                      np.argmax(want, axis=1))
+        np.testing.assert_allclose(R, want, rtol=1e-10, atol=1e-12)
 
 
 class TestEnhanceGmm:

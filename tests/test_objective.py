@@ -27,7 +27,7 @@ from opgd.objective import (
     log_density_projected,
     posteriors,
     projected_variances,
-    row_logsumexp,
+    component_logsumexp,
 )
 
 
@@ -107,49 +107,50 @@ class TestLogDensities:
 
 
 class TestRowLogsumexp:
-    """Against ``scipy.special.logsumexp``, the oracle it replaces."""
+    """``component_logsumexp`` against ``scipy.special.logsumexp`` over
+    axis 0, the oracle it replaces."""
 
     @staticmethod
     def _quiet(a, **kw):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return row_logsumexp(a, **kw)
+            return component_logsumexp(a, **kw)
 
     def test_random_rows_up_to_1e3(self):
         rng = np.random.default_rng(0)
-        a = rng.uniform(-1e3, 1e3, size=(200, 7))
-        a[:50] *= rng.uniform(0.0, 1e-3, size=(50, 1))   # some small rows
-        np.testing.assert_allclose(self._quiet(a), logsumexp(a, axis=1),
+        a = rng.uniform(-1e3, 1e3, size=(7, 200))
+        a[:, :50] *= rng.uniform(0.0, 1e-3, size=(1, 50))  # some small columns
+        np.testing.assert_allclose(self._quiet(a), logsumexp(a, axis=0),
                                    rtol=1e-13)
 
     def test_single_column(self):
-        a = np.random.default_rng(1).normal(scale=100.0, size=(30, 1))
-        np.testing.assert_allclose(self._quiet(a), logsumexp(a, axis=1),
+        a = np.random.default_rng(1).normal(scale=100.0, size=(1, 30))
+        np.testing.assert_allclose(self._quiet(a), logsumexp(a, axis=0),
                                    rtol=1e-13)
 
     def test_keepdims(self):
-        a = np.random.default_rng(2).normal(scale=50.0, size=(20, 4))
+        a = np.random.default_rng(2).normal(scale=50.0, size=(4, 20))
         got = self._quiet(a, keepdims=True)
-        assert got.shape == (20, 1)
+        assert got.shape == (1, 20)
         np.testing.assert_allclose(
-            got, logsumexp(a, axis=1, keepdims=True), rtol=1e-13)
+            got, logsumexp(a, axis=0, keepdims=True), rtol=1e-13)
 
     def test_dominant_term_kept_accurate(self):
-        """``a_iy - lse_i`` keeps the small terms a plain ``log`` of the
+        """``a_yi - lse_i`` keeps the small terms a plain ``log`` of the
         shifted sum rounds away."""
-        a = np.array([[0.0, -40.0], [5.0, -30.0]])
-        np.testing.assert_allclose(a[:, 0] - self._quiet(a),
-                                   a[:, 0] - logsumexp(a, axis=1), rtol=1e-13)
+        a = np.array([[0.0, -40.0], [5.0, -30.0]]).T
+        np.testing.assert_allclose(a[0] - self._quiet(a),
+                                   a[0] - logsumexp(a, axis=0), rtol=1e-13)
         assert a[0, 0] - self._quiet(a)[0] < 0.0
 
     def test_infinite_rows(self):
         a = np.array([[-np.inf, -np.inf, -np.inf],
                       [1.0, np.inf, 800.0],
-                      [-np.inf, 2.0, 3.0]])
+                      [-np.inf, 2.0, 3.0]]).T
         got = self._quiet(a)
         assert got[0] == -np.inf
         assert got[1] == np.inf
-        np.testing.assert_allclose(got[2], logsumexp(a[2]), rtol=1e-13)
+        np.testing.assert_allclose(got[2], logsumexp(a[:, 2]), rtol=1e-13)
 
 
 class TestFullGaussianLogDensities:
@@ -282,23 +283,32 @@ class TestWorkspace:
     def test_pieces_match_their_definitions(self):
         ds, model, V = _instance(13, n=40, p=5, K=3, dim=2)
         ws = build_workspace(ds, V, model)
-        logpost = np.log(model.priors)[None, :] + \
-            log_densities(ds.X, V, model.means, model.covariances)
-        post = np.exp(logpost - logsumexp(logpost, axis=1, keepdims=True))
+        logpost = np.log(model.priors)[:, None] + \
+            log_densities(ds.X, V, model.means, model.covariances).T
+        post = np.exp(logpost - logsumexp(logpost, axis=0, keepdims=True))
         np.testing.assert_allclose(ws.posteriors, post, rtol=1e-13)
         np.testing.assert_allclose(
             ws.log_likelihood,
-            np.log(post[np.arange(ds.n), ds.labels - 1]).sum(), rtol=1e-12)
+            np.log(post[ds.labels - 1, np.arange(ds.n)]).sum(), rtol=1e-12)
         np.testing.assert_array_equal(
-            ws.diffs, (ds.X @ V)[:, None, :] - (model.means @ V)[None, :, :])
+            ws.diffs, (V.T @ ds.X.T)[None] - (model.means @ V)[:, :, None])
         np.testing.assert_array_equal(
             ws.proj_vars, projected_variances(V, model.covariances))
+        np.testing.assert_array_equal(ws.cov_proj, model.covariances @ V)
+
+    def test_observation_axis_is_last_and_contiguous(self):
+        ds, model, V = _instance(16, n=50, p=6, K=4, dim=3)
+        ws = build_workspace(ds, V, model)
+        assert ws.diffs.shape == (4, 3, 50)
+        assert ws.posteriors.shape == (4, 50)
+        assert ws.diffs.flags.c_contiguous
+        assert ws.posteriors.flags.c_contiguous
 
     def test_unlabeled_dataset_has_no_log_likelihood(self):
         ds, model, V = _instance(14)
         ws = build_workspace(Dataset(X=ds.X), V, model)
         assert ws.log_likelihood is None
-        np.testing.assert_allclose(ws.posteriors.sum(axis=1), 1.0)
+        np.testing.assert_allclose(ws.posteriors.sum(axis=0), 1.0)
 
 
 class TestPosteriors:
@@ -383,21 +393,21 @@ class TestGradients:
 # replaced, which forms every p x p weighted scatter S_k explicitly.
 
 def _weighted_scatter(X, means, W):
-    """S_k = sum_i W_ik (x_i - mu_k)(x_i - mu_k)' for every class."""
+    """S_k = sum_i W_ki (x_i - mu_k)(x_i - mu_k)' for every class."""
     K, p = means.shape
     S = np.empty((K, p, p))
     for k in range(K):
         D = X - means[k]
-        S[k] = D.T @ (D * W[:, k, None])
+        S[k] = D.T @ (D * W[k, :, None])
     return S
 
 
 def _scatter_grad(X, V, means, covariances, W):
-    """Gradient of sum_ik W_ik log phi_k(V'x_i) from the dense scatters:
+    """Gradient of sum_ik W_ki log phi_k(V'x_i) from the dense scatters:
     column j sums (1/s_kj) [(v_j'S_k v_j / s_kj - m_k) Sigma_k - S_k] v_j."""
     proj_vars = projected_variances(V, covariances)
     S = _weighted_scatter(X, means, W)
-    col_mass = W.sum(axis=0)
+    col_mass = W.sum(axis=1)
     G = np.zeros_like(V)
     for k in range(covariances.shape[0]):
         s = proj_vars[k]
@@ -407,7 +417,7 @@ def _scatter_grad(X, V, means, covariances, W):
 
 
 def _mixture_case(seed, n, p, K, dim):
-    """Random points, means, PD covariances, projection, and the
+    """Random points, means, PD covariances, projection, and the ``K x n``
     posteriors and hard (argmax) assignments under equal weights."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p)) * 2.0
@@ -415,10 +425,10 @@ def _mixture_case(seed, n, p, K, dim):
     A = rng.standard_normal((K, p, p))
     covs = A @ A.transpose(0, 2, 1) / p + np.eye(p)
     V = rng.standard_normal((p, dim))
-    joint = log_densities(X, V, means, covs)
-    post = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
+    joint = log_densities(X, V, means, covs).T
+    post = np.exp(joint - logsumexp(joint, axis=0, keepdims=True))
     hard = np.zeros_like(post)
-    hard[np.arange(n), np.argmax(joint, axis=1)] = 1.0
+    hard[np.argmax(joint, axis=0), np.arange(n)] = 1.0
     return X, V, means, covs, post, hard
 
 
@@ -435,16 +445,16 @@ class TestGradientKernel:
         X, V, means, covs, post, hard = _mixture_case(n + p + K + dim,
                                                       n, p, K, dim)
         W = post if weights == "posterior" else hard - post
-        diffs = (X @ V)[:, None, :] - (means @ V)[None, :, :]
+        diffs = (V.T @ X.T)[None] - (means @ V)[:, :, None]
         got = grad_weighted_log_densities(
-            X, V, means, covs, projected_variances(V, covs), diffs, W)
+            X, means, covs @ V, projected_variances(V, covs), diffs, W)
         np.testing.assert_allclose(got, _scatter_grad(X, V, means, covs, W),
                                    rtol=1e-10)
 
     def test_grad_ell2_is_posterior_weighted_kernel(self):
         ds, model, V = _instance(11, n=40, p=6, K=3, dim=3)
         ref = _scatter_grad(ds.X, V, model.means, model.covariances,
-                            posteriors(ds, V, model))
+                            posteriors(ds, V, model).T)
         np.testing.assert_allclose(grad_ell2(ds, V, model), ref, rtol=1e-10)
 
     def test_cluster_gradient_is_one_kernel_call(self):

@@ -417,13 +417,13 @@ class TestFusedMaximize:
 
     def test_one_density_evaluation_per_value_call(self, monkeypatch):
         counts = {"value": 0, "grad": 0, "densities": 0}
-        real = objective.diff_log_densities
+        real = objective.diag_log_densities
 
         def densities(*args):
             counts["densities"] += 1
             return real(*args)
 
-        monkeypatch.setattr(objective, "diff_log_densities", densities)
+        monkeypatch.setattr(objective, "diag_log_densities", densities)
         _counting_ascend(monkeypatch, counts)
         ds, model, V0 = _fused_case()
         maximize(ds, model, V0, OptimConfig(max_iters=40))
@@ -443,7 +443,41 @@ class TestFusedMaximize:
         np.testing.assert_array_equal(got["G"], grad_objective(ds, V0, model))
 
 
+def _brute_force_order(ds, V, model):
+    """Greedy ordering by a fresh likelihood evaluation of every
+    candidate column set; ``np.argmax`` takes the first of tied values,
+    the lowest remaining index."""
+    order, remaining = [], list(range(V.shape[1]))
+    while remaining:
+        vals = [classification_log_likelihood(ds, V[:, order + [j]], model)
+                for j in remaining]
+        order.append(remaining.pop(int(np.argmax(vals))))
+    return order
+
+
 class TestOrderColumns:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_brute_force_greedy(self, seed):
+        """Random instances. On odd seeds the last column is the first one
+        negated: the model sees the same column, so every step that
+        compares the two is an exact tie, and the returned matrix shows
+        which one won."""
+        rng = np.random.default_rng(seed)
+        n, p, K = int(rng.integers(30, 120)), int(rng.integers(3, 9)), \
+            int(rng.integers(2, 5))
+        m = int(rng.integers(2, p + 1))
+        y = np.r_[np.repeat(np.arange(1, K + 1), 2),
+                  rng.integers(1, K + 1, n - 2 * K)]
+        X = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p) \
+            + rng.normal(size=(K, p))[y - 1]
+        ds = Dataset(X=X, labels=y)
+        model = estimate_class_model(ds)
+        V = rng.standard_normal((p, m))
+        if seed % 2:
+            V[:, -1] = -V[:, 0]
+        np.testing.assert_array_equal(
+            order_columns(ds, V, model), V[:, _brute_force_order(ds, V, model)])
+
     def test_permutation_only(self):
         ds, model = _two_class_diagonal(9)
         rng = np.random.default_rng(9)
