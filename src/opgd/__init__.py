@@ -34,10 +34,8 @@ from .objective import (
     ell2,
     grad_ell1,
     grad_ell2,
-    grad_log_density_projected,
     grad_objective,
     log_densities,
-    log_density_projected,
     posteriors,
     projected_variances,
 )
@@ -59,7 +57,6 @@ from .classifier import (
     lda_fit,
     lda_predict,
     predict,
-    rda_alpha_grid,
     rda_fit,
     rda_predict,
     save_features,

@@ -24,8 +24,15 @@ from .optimizer import OptimConfig, _normalize_columns, discriminant_directions,
     init_projection, maximize, order_columns
 
 
-def _default_names(K: int) -> tuple[str, ...]:
-    return tuple(str(k) for k in range(1, K + 1))
+def _label_names(label_names, K: int) -> tuple[str, ...]:
+    """``label_names`` as a tuple, ``"1".."K"`` when ``None``; a count
+    other than ``K`` is a ``ConfigError``."""
+    if label_names is None:
+        return tuple(str(k) for k in range(1, K + 1))
+    names = tuple(label_names)
+    if len(names) != K:
+        raise ConfigError(f"{len(names)} label names for {K} classes")
+    return names
 
 
 def _as_matrix(X, p: int):
@@ -94,6 +101,7 @@ def fit_opgd(train: Dataset, dim: int, config: OptimConfig | None = None,
     """
     config = config if config is not None else OptimConfig()
     model = estimate_class_model(train)
+    names = _label_names(label_names, model.K)
     if not 1 <= dim <= model.p:
         raise ConfigError(f"dim must lie in [1, {model.p}], got {dim}")
     clamp = ClampStats()
@@ -107,10 +115,6 @@ def fit_opgd(train: Dataset, dim: int, config: OptimConfig | None = None,
     V, trace = maximize(train, model, V0, config, clamp)
     V = _normalize_columns(V)
     V = order_columns(train, V, model)
-    names = tuple(label_names) if label_names is not None \
-        else _default_names(model.K)
-    if len(names) != model.K:
-        raise ConfigError("label_names length does not match class count")
     return OpgdModel(
         projection=V,
         projected_means=model.means @ V,
@@ -179,13 +183,11 @@ def lda_fit(train: Dataset, r: int, ridge_frac: float = 1e-6,
     model = estimate_class_model(train)
     scatter = compute_scatter(train, model)
     V = lda_features(scatter, r, n_classes=model.K, ridge_frac=ridge_frac)
-    names = tuple(label_names) if label_names is not None \
-        else _default_names(model.K)
     return LdaModel(projection=V,
                     means=model.means @ V,
                     covariance=symmetrize(V.T @ scatter.within @ V),
                     priors=model.priors,
-                    label_names=names)
+                    label_names=_label_names(label_names, model.K))
 
 
 def lda_predict(model: LdaModel, X):
@@ -244,11 +246,9 @@ def save_fit(train: Dataset, r: int, label_names=None) -> SaveModel:
     V = save_features(train, r)
     proj = Dataset(train.X @ V, train.labels)
     model = estimate_class_model(proj)
-    names = tuple(label_names) if label_names is not None \
-        else _default_names(model.K)
     return SaveModel(projection=V, means=model.means,
                      covariances=model.covariances, priors=model.priors,
-                     label_names=names)
+                     label_names=_label_names(label_names, model.K))
 
 
 def save_predict(model: SaveModel, X):
@@ -285,18 +285,12 @@ def rda_fit(train: Dataset, alpha: float, label_names=None) -> RdaModel:
     model = estimate_class_model(train)
     scatter = compute_scatter(train, model)
     blended = alpha * model.covariances + (1.0 - alpha) * scatter.within
-    names = tuple(label_names) if label_names is not None \
-        else _default_names(model.K)
     return RdaModel(alpha=float(alpha), means=model.means, covariances=blended,
-                    priors=model.priors, label_names=names)
+                    priors=model.priors,
+                    label_names=_label_names(label_names, model.K))
 
 
 def rda_predict(model: RdaModel, X):
     X = _as_matrix(X, model.p)
     ld = full_gaussian_log_densities(X, model.means, model.covariances)
     return _posterior_predict(ld.T, model.priors)
-
-
-def rda_alpha_grid(p: int):
-    """Blend grid {0, 1/(p-1), ..., 1}; two endpoints when p < 2."""
-    return np.linspace(0.0, 1.0, max(int(p), 2))

@@ -290,19 +290,24 @@ def write_manifest(manifest: RunManifest, path: str):
 # ---------------------------------------------------------------------------
 # Model serialization
 
-# type tag -> (class, scalar fields, array fields, has label names)
+# type tag -> (class, scalar fields, array fields with their axes, has
+# label names). Each axis letter has one length in a file: K classes or
+# components (as many as the label names), p inputs, d projected ones.
 _MODEL_SPECS = {
-    "opgd": (OpgdModel, (),
-             ("projection", "projected_means", "projected_vars", "priors"),
-             True),
-    "lda": (LdaModel, (), ("projection", "means", "covariance", "priors"),
-            True),
-    "save": (SaveModel, (), ("projection", "means", "covariances", "priors"),
-             True),
-    "rda": (RdaModel, ("alpha",), ("means", "covariances", "priors"), True),
-    "gmm": (GmmModel, (), ("weights", "means", "covariances"), False),
+    "opgd": (OpgdModel, (), {"projection": "pd", "projected_means": "Kd",
+                             "projected_vars": "Kd", "priors": "K"}, True),
+    "lda": (LdaModel, (), {"projection": "pd", "means": "Kd",
+                           "covariance": "dd", "priors": "K"}, True),
+    "save": (SaveModel, (), {"projection": "pd", "means": "Kd",
+                             "covariances": "Kdd", "priors": "K"}, True),
+    "rda": (RdaModel, ("alpha",), {"means": "Kp", "covariances": "Kpp",
+                                   "priors": "K"}, True),
+    "gmm": (GmmModel, (), {"weights": "K", "means": "Kp",
+                           "covariances": "Kpp"}, False),
 }
 _TYPE_OF = {cls: tag for tag, (cls, *_rest) in _MODEL_SPECS.items()}
+_AXIS_NAMES = {"K": "classes", "p": "input columns",
+               "d": "projected coordinates"}
 
 
 def serialize_model(model, manifest_id: str = "") -> str:
@@ -312,6 +317,10 @@ def serialize_model(model, manifest_id: str = "") -> str:
     _, scalars, arrays, has_labels = _MODEL_SPECS[tag]
     lines = [FORMAT_VERSION, f"type\t{tag}", f"manifest\t{manifest_id}"]
     if has_labels:
+        bad = [nm for nm in model.label_names if set(nm) & set("\t\n\r")]
+        if bad:
+            raise DataError(f"label name {bad[0]!r} holds a tab or line "
+                            "break, which a model file cannot store")
         lines.append("labels\t" + "\t".join(model.label_names))
     for name in scalars:
         lines.append(f"scalar\t{name}\t{_fmt(getattr(model, name))}")
@@ -332,53 +341,78 @@ def _finite(name: str, value):
     return value
 
 
+def _check_shapes(arrays: dict, axes: dict, label_names):
+    """Raise a ``DataError`` unless every array in ``arrays`` has the
+    axes ``axes`` gives its field, each axis letter one length
+    throughout, ``K`` the count of ``label_names`` when given."""
+    seen = {}
+    if label_names is not None:
+        seen["K"] = (len(label_names), "the labels line")
+    for name, letters in axes.items():
+        shape = arrays[name].shape
+        if len(shape) != len(letters):
+            raise DataError(f"model field {name!r} has {len(shape)} axes, "
+                            f"expected {len(letters)}")
+        for letter, size in zip(letters, shape):
+            known, source = seen.setdefault(letter, (size, f"field {name!r}"))
+            if size != known:
+                raise DataError(
+                    f"model field {name!r} has {size} "
+                    f"{_AXIS_NAMES[letter]}, but {source} has {known}")
+
+
 def parse_model(text: str):
-    """Inverse of :func:`serialize_model`; returns (model, manifest id)."""
-    lines = text.splitlines()
-    if not lines or lines[0] != FORMAT_VERSION:
+    """Inverse of :func:`serialize_model`; returns (model, manifest id).
+    A malformed file, or one whose fields disagree in shape with one
+    another or with the labels line, is a ``DataError``."""
+    lines = text.removesuffix("\n").split("\n")
+    if lines[0] != FORMAT_VERSION:
         raise DataError(f"not a {FORMAT_VERSION} model file")
     kv = {}
     label_names = None
-    arrays = {}
+    fields = {}
     i = 1
-    while i < len(lines):
-        parts = lines[i].split("\t")
-        key = parts[0]
-        if key == "labels":
-            label_names = tuple(parts[1:])
-        elif key == "scalar":
-            kv[parts[1]] = _finite(parts[1], float(parts[2]))
-        elif key == "field":
-            name, ndim = parts[1], int(parts[2])
-            shape = tuple(int(d) for d in parts[3:3 + ndim])
-            nrows = 1 if ndim == 1 else int(np.prod(shape[:-1]))
-            block = lines[i + 1:i + 1 + nrows]
-            if len(block) != nrows:
-                raise DataError(f"truncated array block for {name!r}")
-            try:
-                arrays[name] = _finite(name, np.array(
-                    [[float(v) for v in r.split("\t")] for r in block]
-                ).reshape(shape))
-            except ValueError as exc:
-                raise DataError(
-                    f"malformed array block for {name!r}: {exc}") from exc
-            i += nrows
-        else:
-            kv[key] = parts[1] if len(parts) > 1 else ""
-        i += 1
+    try:
+        while i < len(lines):
+            parts = lines[i].split("\t")
+            key = parts[0]
+            if key == "labels":
+                label_names = tuple(parts[1:])
+            elif key == "scalar":
+                fields[parts[1]] = _finite(parts[1], float(parts[2]))
+            elif key == "field":
+                name, ndim = parts[1], int(parts[2])
+                shape = tuple(int(d) for d in parts[3:3 + ndim])
+                nrows = 1 if ndim == 1 else int(np.prod(shape[:-1]))
+                block = lines[i + 1:i + 1 + nrows]
+                if len(block) != nrows:
+                    raise DataError(f"truncated array block for {name!r}")
+                try:
+                    fields[name] = _finite(name, np.array(
+                        [[float(v) for v in r.split("\t")] for r in block]
+                    ).reshape(shape))
+                except ValueError as exc:
+                    raise DataError(f"malformed array block for {name!r}: "
+                                    f"{exc}") from exc
+                i += nrows
+            else:
+                kv[key] = parts[1] if len(parts) > 1 else ""
+            i += 1
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"malformed model file at line {i + 1}: {exc}") \
+            from exc
     tag = kv.pop("type", None)
     if tag not in _MODEL_SPECS:
         raise DataError(f"unknown model type {tag!r}")
-    cls, scalars, array_names, has_labels = _MODEL_SPECS[tag]
-    missing = [a for a in array_names if a not in arrays]
+    cls, scalars, axes, has_labels = _MODEL_SPECS[tag]
+    missing = [f for f in (*scalars, *axes) if f not in fields]
     if missing:
         raise DataError(f"model file is missing fields: {missing}")
-    kwargs = {name: arrays[name] for name in array_names}
-    for name in scalars:
-        kwargs[name] = kv[name]
+    if has_labels and label_names is None:
+        raise DataError("model file is missing the labels line")
+    _check_shapes(fields, axes, label_names if has_labels else None)
+    kwargs = {name: fields[name] for name in (*scalars, *axes)}
     if has_labels:
-        if label_names is None:
-            raise DataError("model file is missing the labels line")
         kwargs["label_names"] = label_names
     return cls(**kwargs), kv.get("manifest", "")
 
@@ -410,38 +444,43 @@ def _write_table(path: str, manifest_id: str, header: list[str],
 # ---------------------------------------------------------------------------
 # Commands
 
-def _opt_config(args) -> OptimConfig:
-    """The ascent settings from the flags. Every command that takes
-    ``--epsilon``/``--ridge`` builds it first, whatever the method, so a
-    bad value is refused before any work and never reaches a manifest."""
-    return OptimConfig(max_iters=args.max_iters,
-                       epsilon_init=args.epsilon,
-                       ridge_frac=args.ridge,
-                       seed=args.seed)
+def _ingest(args, group_column: str | None = None):
+    """The ascent settings from the flags, :func:`ingest_csv` on
+    ``--data`` with the ingest flags, and the ingest and ascent manifest
+    params, for the commands that take those flags. The settings are
+    built first, whatever the method, so a bad ``--epsilon``/``--ridge``
+    is refused before any work and never reaches a manifest."""
+    opt = OptimConfig(max_iters=args.max_iters, epsilon_init=args.epsilon,
+                      ridge_frac=args.ridge, seed=args.seed)
+    ing = ingest_csv(args.data, label_column=args.labels,
+                     perturb_sd=args.perturb, drop_constant=args.drop_constant,
+                     seed=args.seed, group_column=group_column)
+    params = dict(epsilon=args.epsilon, ridge=args.ridge,
+                  max_iters=args.max_iters, perturb=args.perturb,
+                  drop_constant=args.drop_constant,
+                  dropped=",".join(ing.dropped_columns) or None)
+    return opt, ing, params
+
+
+def _fit_model(args, ing, opt: OptimConfig):
+    """The ``--method`` model fitted to the ingested table."""
+    ds, names = ing.dataset, ing.label_names
+    if args.method == "opgd":
+        return fit_opgd(ds, args.dim, opt, label_names=names)
+    if args.method == "lda":
+        return lda_fit(ds, args.dim, label_names=names)
+    if args.method == "save":
+        return save_fit(ds, args.dim, label_names=names)
+    return rda_fit(ds, args.alpha, label_names=names)
 
 
 def cmd_fit(args) -> int:
-    opt = _opt_config(args)
-    ing = ingest_csv(args.data, label_column=args.labels,
-                     perturb_sd=args.perturb, drop_constant=args.drop_constant,
-                     seed=args.seed)
+    opt, ing, params = _ingest(args)
     if ing.dataset.labels is None:
         raise ConfigError("fit requires --labels")
-    manifest = make_manifest(
-        "fit", args.data, args.seed, method=args.method, dim=args.dim,
-        alpha=args.alpha, epsilon=args.epsilon, ridge=args.ridge,
-        max_iters=args.max_iters, perturb=args.perturb,
-        drop_constant=args.drop_constant,
-        dropped=",".join(ing.dropped_columns) or None)
-    names = ing.label_names
-    if args.method == "opgd":
-        model = fit_opgd(ing.dataset, args.dim, opt, label_names=names)
-    elif args.method == "lda":
-        model = lda_fit(ing.dataset, args.dim, label_names=names)
-    elif args.method == "save":
-        model = save_fit(ing.dataset, args.dim, label_names=names)
-    else:
-        model = rda_fit(ing.dataset, args.alpha, label_names=names)
+    manifest = make_manifest("fit", args.data, args.seed, method=args.method,
+                             dim=args.dim, alpha=args.alpha, **params)
+    model = _fit_model(args, ing, opt)
     pred, _ = _model_predict(model, ing.dataset.X)
     err = misclassification_error(pred, ing.dataset.labels)
     _atomic_write(args.out, serialize_model(model, manifest.manifest_id))
@@ -475,27 +514,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_features(args) -> int:
-    opt = _opt_config(args)
-    ing = ingest_csv(args.data, label_column=args.labels,
-                     perturb_sd=args.perturb, drop_constant=args.drop_constant,
-                     seed=args.seed)
+    opt, ing, params = _ingest(args)
     if ing.dataset.labels is None:
         raise ConfigError("features requires --labels")
-    manifest = make_manifest(
-        "features", args.data, args.seed, method=args.method, dim=args.dim,
-        epsilon=args.epsilon, ridge=args.ridge, max_iters=args.max_iters,
-        perturb=args.perturb, drop_constant=args.drop_constant,
-        dropped=",".join(ing.dropped_columns) or None)
-    if args.method == "opgd":
-        model = fit_opgd(ing.dataset, args.dim, opt,
-                         label_names=ing.label_names)
-        V = model.projection
-    elif args.method == "lda":
-        V = lda_fit(ing.dataset, args.dim).projection
-    elif args.method == "save":
-        V = save_fit(ing.dataset, args.dim).projection
-    else:
-        raise ConfigError("features supports methods opgd, lda, save")
+    manifest = make_manifest("features", args.data, args.seed,
+                             method=args.method, dim=args.dim, **params)
+    V = _fit_model(args, ing, opt).projection
     Z = ing.dataset.X @ V
     vcols = [f"v{j + 1}" for j in range(V.shape[1])]
     rows = [zrow + [ing.label_names[t - 1]]
@@ -511,17 +535,11 @@ def cmd_features(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    opt = _opt_config(args)
-    ing = ingest_csv(args.data, label_column=args.labels,
-                     perturb_sd=args.perturb, drop_constant=args.drop_constant,
-                     seed=args.seed)
+    opt, ing, params = _ingest(args)
     manifest = make_manifest(
         "cluster", args.data, args.seed, clusters=args.clusters, dim=args.dim,
         lam=args.lam, pca_threshold=args.pca_threshold,
-        epsilon=args.epsilon, ridge=args.ridge, max_iters=args.max_iters,
-        init_gmm=args.init_gmm, perturb=args.perturb,
-        drop_constant=args.drop_constant,
-        dropped=",".join(ing.dropped_columns) or None)
+        init_gmm=args.init_gmm, **params)
     X = ing.dataset.X
     if args.pca_threshold is not None:
         X, _basis = pca_prefilter(X, args.pca_threshold)
@@ -582,20 +600,14 @@ def _parse_grid(text: str, method: str):
 
 
 def cmd_evaluate(args) -> int:
-    opt = _opt_config(args)
-    ing = ingest_csv(args.data, label_column=args.labels,
-                     perturb_sd=args.perturb, drop_constant=args.drop_constant,
-                     seed=args.seed, group_column=args.group)
+    opt, ing, params = _ingest(args, group_column=args.group)
     if ing.dataset.labels is None:
         raise ConfigError("evaluate requires --labels")
     train = ing.dataset
     manifest = make_manifest(
         "evaluate", args.data, args.seed, methods=args.method,
         grid=args.grid, folds=args.folds, split=args.split, test=args.test,
-        group=args.group, epsilon=args.epsilon, ridge=args.ridge,
-        max_iters=args.max_iters, perturb=args.perturb,
-        drop_constant=args.drop_constant,
-        dropped=",".join(ing.dropped_columns) or None)
+        group=args.group, **params)
 
     test_X = test_labels = None
     if args.folds is not None:

@@ -25,27 +25,35 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import ConfigError, DataError, Dataset, check_projection, \
-    estimate_class_model, scatter_from_responsibilities, symmetrize, \
-    variance_floors
-from .objective import cholesky_factors, classification_log_likelihood, \
-    component_logsumexp, diag_log_densities, full_gaussian_log_densities, \
-    grad_objective, grad_weighted_log_densities, log_densities, \
-    project_covariances, projected_variances
+from .core import ConfigError, DataError, Dataset, _readonly, \
+    check_projection, estimate_class_model, scatter_from_responsibilities, \
+    symmetrize, variance_floors
+# ``log_densities`` is imported only for perfbench's tracer, which wraps it
+# here.
+from .objective import build_workspace, cholesky_factors, \
+    classification_log_likelihood, component_logsumexp, diag_log_densities, \
+    full_gaussian_log_densities, grad_objective, \
+    grad_weighted_log_densities, log_densities, \
+    projected_variances  # noqa: F401
 from .optimizer import OptimConfig, ascend, init_projection
 
 
 @dataclass(frozen=True)
 class GmmModel:
     """Gaussian mixture parameters (weights on the simplex, full PD
-    covariances after the estimation floor)."""
+    covariances after the estimation floor), held read-only."""
 
     weights: np.ndarray       # (K,)
     means: np.ndarray         # (K, p)
     covariances: np.ndarray   # (K, p, p)
+
+    def __post_init__(self):
+        for name in ("weights", "means", "covariances"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def K(self) -> int:
@@ -54,6 +62,16 @@ class GmmModel:
     @property
     def p(self) -> int:
         return self.means.shape[1]
+
+    @cached_property
+    def log_weights(self):
+        """``log(weights)``, computed once."""
+        return _readonly(np.log(self.weights))
+
+    @cached_property
+    def floors(self):
+        """:func:`variance_floors` of the covariances, computed once."""
+        return _readonly(variance_floors(self.covariances))
 
 
 @dataclass(frozen=True)
@@ -248,8 +266,7 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     else:
         warnings.warn(f"full-space EM stopped at its cap of "
                       f"{config.em_max_iters} iterations before converging")
-    model = GmmModel(weights=weights.copy(), means=means.copy(),
-                     covariances=covs.copy())
+    model = GmmModel(weights=weights, means=means, covariances=covs)
     if return_trace:
         return model, np.asarray(trace)
     return model
@@ -257,7 +274,7 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
 
 def responsibilities(X, gmm: GmmModel):
     """``n x K`` posterior component probabilities of the observations."""
-    joint = np.log(gmm.weights)[:, None] + \
+    joint = gmm.log_weights[:, None] + \
         full_gaussian_log_densities(np.asarray(X, dtype=float),
                                     gmm.means, gmm.covariances).T
     return np.exp(joint - component_logsumexp(joint, keepdims=True)).T
@@ -275,11 +292,9 @@ def _penalty(V):
 
 def cluster_objective(X, V, gmm: GmmModel, lam: float) -> float:
     """Max-component log-posterior sum minus the orthonormality penalty."""
-    X = np.asarray(X, dtype=float)
     V = check_projection(V, gmm.p)
-    joint = np.log(gmm.weights)[:, None] + \
-        log_densities(X, V, gmm.means, gmm.covariances).T
-    term1 = float((joint.max(axis=0) - component_logsumexp(joint)).sum())
+    ws = build_workspace(np.asarray(X, dtype=float), V, gmm)
+    term1 = float((ws.log_joint.max(axis=0) - ws.log_mix).sum())
     return term1 - lam * _penalty(V)
 
 
@@ -296,13 +311,11 @@ def grad_cluster_objective(X, V, gmm: GmmModel, lam: float):
     """
     X = np.asarray(X, dtype=float)
     V = check_projection(V, gmm.p)
-    CV, pv = project_covariances(V, gmm.covariances,
-                                 variance_floors(gmm.covariances))
-    diffs = (V.T @ X.T)[None] - (gmm.means @ V)[:, :, None]
-    joint = np.log(gmm.weights)[:, None] + diag_log_densities(diffs, pv)
-    W = -np.exp(joint - component_logsumexp(joint, keepdims=True))
-    W[np.argmax(joint, axis=0), np.arange(X.shape[0])] += 1.0
-    G = grad_weighted_log_densities(X, gmm.means, CV, pv, diffs, W)
+    ws = build_workspace(X, V, gmm)
+    W = -ws.posteriors
+    W[np.argmax(ws.log_joint, axis=0), np.arange(X.shape[0])] += 1.0
+    G = grad_weighted_log_densities(X, gmm.means, ws.cov_proj, ws.proj_vars,
+                                    ws.diffs, W)
     return G - 4.0 * lam * V @ (V.T @ V - np.eye(V.shape[1]))
 
 
@@ -359,10 +372,8 @@ def gradient_check(trials: int, seed: int):
         X = rng.standard_normal((n, p)) + 3.0 * rng.integers(0, K, (n, 1))
         gmm = fit_gmm_em(X, K, ClusterConfig(seed=int(rng.integers(1 << 31))))
         V = rng.standard_normal((p, dim))
-        joint = np.log(gmm.weights)[None, :] + \
-            log_densities(X, V, gmm.means, gmm.covariances)
-        top2 = np.sort(joint, axis=1)
-        if K > 1 and np.min(top2[:, -1] - top2[:, -2]) < 1e-3:
+        top2 = np.sort(build_workspace(X, V, gmm).log_joint, axis=0)
+        if K > 1 and np.min(top2[-1] - top2[-2]) < 1e-3:
             continue
         lam = float(n)
         worst_clu = max(worst_clu, rel_err(

@@ -158,8 +158,9 @@ class GaussianClassModel:
         return self.means.shape[1]
 
     @cached_property
-    def log_priors(self):
-        """``log(priors)``, computed once."""
+    def log_weights(self):
+        """``log(priors)``, the log weights of the class mixture,
+        computed once."""
         return _readonly(np.log(self.priors))
 
     @cached_property
@@ -302,12 +303,6 @@ def check_projection(V, p: int):
     if np.any(norms <= 1e-12):
         raise ConfigError("projection has a (near-)zero column")
     return V
-
-
-def diag_congruence(V, S):
-    """Diagonal of ``V' S V`` as a length-p' vector, entry j = v_j' S v_j."""
-    V = np.asarray(V, dtype=float)
-    return np.einsum("ij,ik,kj->j", V, np.asarray(S, dtype=float), V)
 
 
 # Relative eigenvalue floor below which a covariance is declared singular.

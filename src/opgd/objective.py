@@ -1,8 +1,9 @@
-"""Classification log-likelihood over linear projections, and its gradient.
+"""The projected diagonal Gaussian mixture, its likelihoods and gradients.
 
-The model: each class ``k`` gets a Gaussian density on the projected data
-``X V`` with mean ``V' mu_k`` and *diagonal* covariance whose entries are
-the congruence diagonal ``v_j' Sigma_k v_j``. The objective is the
+Both objectives score one model, a Gaussian mixture on the projected
+data ``X V``: component ``k`` has mean ``V' mu_k``, *diagonal* covariance
+``diag(v_j' Sigma_k v_j)`` and weight ``w_k``. The supervised objective
+takes the classes as components, weighted by their priors; it is the
 multinomial log-likelihood of the observed labels under the Bayes
 posteriors of this projected model,
 
@@ -11,16 +12,25 @@ posteriors of this projected model,
 which decomposes as ``sum_i log prior_{y_i} + ell1(V) - ell2(V)`` where
 ``ell1`` sums the own-class log-densities and ``ell2`` the log mixture
 densities. ``ell1`` collapses to a closed form whose data-dependent part
-is ``-1/2 sum_k n_k sum_j log(v_j' Sigma_k v_j)``; ``ell2`` and the
-posteriors are evaluated with a per-observation log-sum-exp shift.
+is ``-1/2 sum_k n_k sum_j log(v_j' Sigma_k v_j)``. The clustering
+objective (:mod:`opgd.clustering`) takes a fitted mixture's components
+and weights.
 
-The projected model is evaluated observation-last: the projected
-differences ``D[k, j, i] = v_j'(x_i - mu_k)`` are a C-contiguous
-``(K, p', n)`` array formed from ``V' X'``, and log-densities,
-log-posteriors and posteriors are ``(K, n)``. With the few coordinates
-of a projection and the few classes of a problem, numpy's inner loops
-then run over the n observations, not over 2 to 10 entries. The public
-functions that return one row per observation (:func:`log_densities`,
+:func:`build_workspace` is the one evaluator of that mixture at a
+projection, for both ascents. Its :class:`GradientWorkspace` holds
+``Sigma_k V``, the projected variances and differences, the ``(K, n)``
+log joint ``log w_k + log phi_k(V'x_i)`` and its log-sum-exp; from these
+come the posteriors, the log-likelihood and, without evaluating the
+densities again, the gradient. The log weights and variance floors do
+not depend on ``V`` and are cached on the model.
+
+The mixture is evaluated observation-last: the projected differences
+``D[k, j, i] = v_j'(x_i - mu_k)`` are a C-contiguous ``(K, p', n)``
+array formed from ``V' X'``, and log-densities, log-posteriors and
+posteriors are ``(K, n)``. With the few coordinates of a projection and
+the few components of a mixture, numpy's inner loops then run over the
+n observations, not over 2 to 10 entries. The public functions that
+return one row per observation (:func:`log_densities`,
 :func:`posteriors`) transpose at the boundary.
 
 All gradients here are exact: the dependence of the projected means and
@@ -37,8 +47,7 @@ projected differences ``d_ki = V'(x_i - mu_k)``, the columns
 so no p x p scatter is formed. That gradient is linear in ``W``: the
 supervised ``ell2`` uses the posteriors, the clustering objective the
 hard assignments minus the posteriors, in one call each. It also needs
-``Sigma_k V``, the same product the projected variances come from, so
-one evaluation computes it once and the gradient reuses it.
+``Sigma_k V``, which the workspace keeps from the projected variances.
 
 :func:`diag_log_densities` is the package's one diagonal Gaussian
 log-density routine and :func:`full_gaussian_log_densities` its one
@@ -59,19 +68,13 @@ shift, the largest term kept out of the sum and added through
 ``log1p``) in plain NumPy and gives the same results. scipy's array-API
 dispatch costs several times that arithmetic at the package's shapes,
 and the ascents take thousands of these sums.
-
-A :class:`GradientWorkspace` holds one evaluation of the supervised
-objective: ``Sigma_k V``, the projected variances and differences, the
-posteriors and the log-likelihood. The gradient at the same projection
-is built from it without evaluating the densities again. Terms that do
-not depend on ``V`` (log priors, variance floors, the own-class index)
-are cached on the model and the dataset, not recomputed per evaluation.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,12 +114,8 @@ def project_covariances(V, covariances, floors, clamp: ClampStats | None = None)
 
 
 def projected_variances(V, covariances, clamp: ClampStats | None = None):
-    """``K x p'`` matrix of v_j' Sigma_k v_j, floored to stay positive.
-
-    The floor for class k is ``1e-12 * trace(Sigma_k) / p`` (with an
-    absolute fallback of 1e-300 for all-zero covariances, which only
-    occur on degenerate inputs).
-    """
+    """``K x p'`` matrix of v_j' Sigma_k v_j, clamped below at
+    :func:`~opgd.core.variance_floors` to stay positive."""
     covariances = np.asarray(covariances, dtype=float)
     return project_covariances(np.asarray(V, dtype=float), covariances,
                                variance_floors(covariances), clamp)[1]
@@ -238,74 +237,56 @@ def log_densities(X, V, means, covariances, clamp: ClampStats | None = None):
     return diag_log_densities(diffs, pv).T
 
 
-def log_density_projected(x, V, mean, cov, clamp: ClampStats | None = None) -> float:
-    """Log-density of a single point under one projected class Gaussian."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    out = log_densities(x[None, :], V, mean[None, :],
-                        np.asarray(cov, dtype=float)[None, :, :], clamp)
-    return float(out[0, 0])
-
-
-def grad_log_density_projected(x, V, mean, cov):
-    """Gradient of :func:`log_density_projected` with respect to ``V``.
-
-    Column j is ``(1/s_j) [ (alpha_j - 1) Sigma - dd' ] v_j`` with
-    ``d = x - mean``, ``s_j = v_j' Sigma v_j`` and
-    ``alpha_j = (v_j'd)^2 / s_j``; the building block of every mixture
-    gradient below.
-    """
-    x = np.asarray(x, dtype=float)
-    V = np.asarray(V, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    d = x - np.asarray(mean, dtype=float)
-    s = projected_variances(V, cov[None, :, :])[0]        # (p',)
-    proj = d @ V                                          # (p',)
-    alpha = proj * proj / s
-    # [(alpha_j - 1)/s_j] Sigma v_j - (d'v_j / s_j) d
-    return (cov @ V) * ((alpha - 1.0) / s)[None, :] - np.outer(d, proj / s)
-
-
 @dataclass
 class GradientWorkspace:
-    """One evaluation of the supervised objective at a projection.
+    """One evaluation of a projected diagonal Gaussian mixture at ``V``.
 
     ``cov_proj[k] = Sigma_k V`` and ``proj_vars[k, j] = v_j' Sigma_k v_j``
-    come from one product; ``diffs[k, j, i]`` is the projected difference
-    ``v_j'(x_i - mu_k)``. The log-densities, the posteriors and the
-    log-likelihood come from them, and so does the gradient (see
-    :func:`grad_weighted_log_densities`). ``diffs`` and ``posteriors``
-    are C-contiguous with the observations last. ``log_likelihood`` is
-    ``None`` for an unlabeled dataset.
+    come from one product; ``diffs[k, j, i] = v_j'(x_i - mu_k)``.
+    ``log_joint[k, i] = log w_k + log phi_k(V'x_i)`` and ``log_mix`` is
+    its log-sum-exp over the components. The posteriors are formed on
+    first use. ``diffs``, ``log_joint`` and ``posteriors`` are
+    C-contiguous with the observations last. ``log_likelihood`` sums the
+    own-component log-posteriors; ``None`` without a label index.
     """
 
     cov_proj: np.ndarray          # (K, p, p')
     proj_vars: np.ndarray         # (K, p')
     diffs: np.ndarray             # (K, p', n)
-    posteriors: np.ndarray        # (K, n)
+    log_joint: np.ndarray         # (K, n)
+    log_mix: np.ndarray           # (n,)
     log_likelihood: float | None
 
+    @cached_property
+    def posteriors(self):
+        """``(K, n)`` component posteriors; columns sum to one."""
+        return np.exp(self.log_joint - self.log_mix)
 
-def build_workspace(dataset: Dataset, V, model: GaussianClassModel,
+
+def build_workspace(X, V, model, label_index=None,
                     clamp: ClampStats | None = None) -> GradientWorkspace:
-    """Evaluate ``Sigma_k V``, the projected variances and differences,
-    the posteriors and the log-likelihood at one projection, counting
-    variance clamps into ``clamp``.
+    """Evaluate the projected mixture of ``model`` on the rows of ``X`` at
+    one projection, counting variance clamps into ``clamp``.
 
-    ``V`` must already be a valid ``p x p'`` projection (see
-    :func:`~opgd.core.check_projection`); the public callers check it,
-    and an ascent checks its start once.
+    ``model`` supplies ``means``, ``covariances``, ``floors`` (see
+    :func:`~opgd.core.variance_floors`) and ``log_weights``: a
+    :class:`~opgd.core.GaussianClassModel` or a
+    :class:`~opgd.clustering.GmmModel`. ``label_index`` picks each
+    observation's own component from a ``(K, n)`` array (see
+    :attr:`~opgd.core.Dataset.label_index`); with it the workspace holds
+    the log-likelihood. ``V`` must already be a valid ``p x p'``
+    projection (see :func:`~opgd.core.check_projection`); the public
+    callers check it, and an ascent checks its start once.
     """
     CV, pv = project_covariances(V, model.covariances, model.floors, clamp)
-    diffs = (V.T @ dataset.X.T)[None] - (model.means @ V)[:, :, None]
-    logpost = model.log_priors[:, None] + diag_log_densities(diffs, pv)
-    lse = component_logsumexp(logpost, keepdims=True)
+    diffs = (V.T @ X.T)[None] - (model.means @ V)[:, :, None]
+    joint = model.log_weights[:, None] + diag_log_densities(diffs, pv)
+    lse = component_logsumexp(joint)
     ll = None
-    if dataset.labels is not None:
-        ll = float(np.sum(logpost[dataset.label_index] - lse[0]))
+    if label_index is not None:
+        ll = float(np.sum(joint[label_index] - lse))
     return GradientWorkspace(cov_proj=CV, proj_vars=pv, diffs=diffs,
-                             posteriors=np.exp(logpost - lse),
-                             log_likelihood=ll)
+                             log_joint=joint, log_mix=lse, log_likelihood=ll)
 
 
 def grad_weighted_log_densities(X, means, cov_proj, proj_vars, diffs, W):
@@ -339,7 +320,7 @@ def posteriors(dataset: Dataset, V, model: GaussianClassModel,
     invariant to positive rescaling of any column of ``V``.
     """
     V = check_projection(V, model.p)
-    return build_workspace(dataset, V, model, clamp).posteriors.T
+    return build_workspace(dataset.X, V, model, clamp=clamp).posteriors.T
 
 
 def _require_labels(dataset):
@@ -356,7 +337,8 @@ def classification_log_likelihood(dataset: Dataset, V, model: GaussianClassModel
     """
     _require_labels(dataset)
     V = check_projection(V, model.p)
-    return build_workspace(dataset, V, model, clamp).log_likelihood
+    return build_workspace(dataset.X, V, model, dataset.label_index,
+                           clamp).log_likelihood
 
 
 def ell1(dataset: Dataset, V, model: GaussianClassModel) -> float:
@@ -387,8 +369,7 @@ def ell1_direct(dataset: Dataset, V, model: GaussianClassModel) -> float:
 def ell2(dataset: Dataset, V, model: GaussianClassModel) -> float:
     """Log mixture-density sum, via per-observation log-sum-exp."""
     V = check_projection(V, model.p)
-    ld = log_densities(dataset.X, V, model.means, model.covariances).T
-    return float(component_logsumexp(model.log_priors[:, None] + ld).sum())
+    return float(build_workspace(dataset.X, V, model).log_mix.sum())
 
 
 def grad_ell1(dataset: Dataset, V, model: GaussianClassModel,
@@ -422,7 +403,7 @@ def grad_ell2(dataset: Dataset, V, model: GaussianClassModel,
     gradient relies on.
     """
     ws = workspace if workspace is not None \
-        else build_workspace(dataset, check_projection(V, model.p), model)
+        else build_workspace(dataset.X, check_projection(V, model.p), model)
     return grad_weighted_log_densities(dataset.X, model.means, ws.cov_proj,
                                        ws.proj_vars, ws.diffs, ws.posteriors)
 
@@ -435,5 +416,5 @@ def grad_objective(dataset: Dataset, V, model: GaussianClassModel,
     """
     _require_labels(dataset)
     ws = workspace if workspace is not None \
-        else build_workspace(dataset, check_projection(V, model.p), model)
+        else build_workspace(dataset.X, check_projection(V, model.p), model)
     return grad_ell1(dataset, V, model, ws) - grad_ell2(dataset, V, model, ws)

@@ -5,7 +5,7 @@ The ascent moves along a limited-memory BFGS direction (Liu & Nocedal
 recursion applies the inverse-curvature estimate built from the last
 :data:`MEMORY` accepted steps to the gradient. A candidate ``V + t D`` is
 accepted when it improves the objective, by at least
-``armijo_c * t * <G, D>``, otherwise ``t`` is shrunk, so accepted
+``ARMIJO_C * t * <G, D>``, otherwise ``t`` is shrunk, so accepted
 iterates form an increasing objective trace. Without stored steps, or
 when the direction is not an ascent direction or its line search fails,
 the step is a plain gradient step. The same routine drives both the
@@ -34,23 +34,26 @@ MIN_STEP = 1e-14
 # Number of (step, gradient change) pairs the quasi-Newton direction keeps.
 MEMORY = 10
 
+# Line search: the first trial step along the gradient (quasi-Newton trials
+# start at 1), the factor a failed trial shrinks the step by, and the Armijo
+# sufficient-increase constant.
+INIT_STEP = 1.0
+BACKTRACK = 0.5
+ARMIJO_C = 1e-4
+
 
 @dataclass(frozen=True)
 class OptimConfig:
     """Settings for initialization and the ascent.
 
     ``grad_tol`` applies to the max-abs gradient entry divided by the
-    number of observations; ``init_step`` is the first trial step along
-    the gradient (quasi-Newton steps start at 1); ``epsilon_init`` and ``ridge_frac`` control
+    number of observations; ``epsilon_init`` and ``ridge_frac`` control
     the warm-start eigenproblem; ``seed`` only feeds the randomized
     last-resort initialization fallback. Every float must be finite.
     """
 
     max_iters: int = 500
     grad_tol: float = 1e-6
-    init_step: float = 1.0
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
     epsilon_init: float = 1e-3
     ridge_frac: float = 1e-6
     seed: int = 0
@@ -58,14 +61,11 @@ class OptimConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ConfigError("max_iters must be non-negative")
-        for name in ("grad_tol", "init_step", "armijo_c",
-                     "epsilon_init", "ridge_frac"):
+        for name in ("grad_tol", "epsilon_init", "ridge_frac"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, "
                                   f"got {value}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ConfigError("backtrack_factor must lie in (0, 1)")
 
 
 def _normalize_columns(V):
@@ -223,9 +223,10 @@ def ascend(value_fn, grad_fn, V0, config: OptimConfig, scale: float = 1.0):
     positive is not stored. A quasi-Newton trial starts at ``t = 1``.
     With no stored steps, when ``<G, D>`` is not positive, or when the
     quasi-Newton line search fails, the memory is cleared and the step
-    is taken along the gradient from ``init_step``, doubled after each
-    accepted gradient step. A candidate is accepted when its value
-    exceeds ``f`` and reaches ``f + armijo_c * t * <G, D>``, so a step
+    is taken along the gradient from :data:`INIT_STEP`, doubled after
+    each accepted gradient step; a failed trial shrinks ``t`` by
+    :data:`BACKTRACK`. A candidate is accepted when its value
+    exceeds ``f`` and reaches ``f + ARMIJO_C * t * <G, D>``, so a step
     that gains nothing in floating point is a failed trial; the ascent
     stops at the gradient tolerance, after ``max_iters`` iterations, or
     when a gradient line search fails.
@@ -241,7 +242,7 @@ def ascend(value_fn, grad_fn, V0, config: OptimConfig, scale: float = 1.0):
         raise NumericalError("objective is not finite at the initial projection")
     trace = [f]
     best_V, best_f = V, f
-    step = config.init_step
+    step = INIT_STEP
     pairs = deque(maxlen=MEMORY)
     last = None                 # (step taken, gradient before it)
     for _ in range(config.max_iters):
@@ -270,10 +271,10 @@ def ascend(value_fn, grad_fn, V0, config: OptimConfig, scale: float = 1.0):
                 if np.isfinite(fc) and fc > best_f:
                     best_V, best_f = cand, fc
                 if np.isfinite(fc) and fc > f and \
-                        fc >= f + config.armijo_c * t * slope:
+                        fc >= f + ARMIJO_C * t * slope:
                     accepted = True
                     break
-                t *= config.backtrack_factor
+                t *= BACKTRACK
             if accepted:
                 break
             pairs.clear()       # retry along the gradient
@@ -298,10 +299,11 @@ def maximize(dataset: Dataset, model: GaussianClassModel, V0,
 
     ``V0`` is checked once; the ascent's iterates are not checked again.
     Each value call builds a :class:`~opgd.objective.GradientWorkspace`
-    (``Sigma_k V``, projected variances and differences, posteriors,
+    (``Sigma_k V``, projected variances and differences, log joint,
     log-likelihood) and keeps the last one. :func:`ascend` asks for the
     gradient only at the point it just valued, so the gradient reuses
-    that workspace instead of evaluating the densities again; at any
+    that workspace, and forms its posteriors, instead of evaluating the
+    densities again; a rejected trial point never forms them. At any
     other point it builds its own. An accepted point's clamps are
     therefore counted once.
 
@@ -315,15 +317,16 @@ def maximize(dataset: Dataset, model: GaussianClassModel, V0,
 
     def value(V):
         last["V"] = np.array(V, dtype=float)
-        last["ws"] = build_workspace(dataset, last["V"], model, clamp)
+        last["ws"] = build_workspace(dataset.X, last["V"], model,
+                                     dataset.label_index, clamp)
         return last["ws"].log_likelihood
 
     def grad(V):
         if "V" in last and np.array_equal(V, last["V"]):
             ws = last["ws"]
         else:
-            ws = build_workspace(dataset, np.asarray(V, dtype=float), model,
-                                 clamp)
+            ws = build_workspace(dataset.X, np.asarray(V, dtype=float), model,
+                                 clamp=clamp)
         return grad_ell1(dataset, V, model, ws) - grad_ell2(dataset, V, model, ws)
 
     return ascend(value, grad, V0, config, scale=float(dataset.n))
@@ -348,10 +351,10 @@ def order_columns(dataset: Dataset, V, model: GaussianClassModel):
     m = V.shape[1]
     if m == 1:
         return V.copy()
-    ws = build_workspace(dataset, V, model)
+    ws = build_workspace(dataset.X, V, model)
     terms = [diag_log_densities(ws.diffs[:, j:j + 1], ws.proj_vars[:, j:j + 1])
              for j in range(m)]
-    base = model.log_priors[:, None]
+    base = model.log_weights[:, None]
     order: list[int] = []
     remaining = list(range(m))
     while len(remaining) > 1:

@@ -13,7 +13,6 @@ from opgd.classifier import (
     lda_fit,
     lda_predict,
     predict,
-    rda_alpha_grid,
     rda_fit,
     rda_predict,
     save_features,
@@ -101,6 +100,21 @@ class TestFitOpgd:
         assert m.label_names == ("a", "b", "c")
         with pytest.raises(ConfigError):
             fit_opgd(ds, 1, label_names=("a",))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda ds, names: lda_fit(ds, 1, label_names=names),
+    lambda ds, names: save_fit(ds, 1, label_names=names),
+    lambda ds, names: rda_fit(ds, 0.5, label_names=names),
+], ids=["lda", "save", "rda"])
+def test_baseline_label_names_match_class_count(fit):
+    ds = _blobs(6)
+    assert fit(ds, None).label_names == ("1", "2", "3")
+    assert fit(ds, ["a", "b", "c"]).label_names == ("a", "b", "c")
+    for names in (("a",), ("a", "b", "c", "d")):
+        with pytest.raises(ConfigError, match=f"{len(names)} label names "
+                                              "for 3 classes"):
+            fit(ds, names)
 
 
 class TestPredict:
@@ -281,8 +295,3 @@ class TestRda:
             yhat, post = rda_predict(m, X)
         assert np.all(np.isfinite(post))
         assert set(yhat) <= {1, 2}
-
-    def test_alpha_grid(self):
-        g = rda_alpha_grid(10)
-        assert g[0] == 0.0 and g[-1] == 1.0 and len(g) == 10
-        assert len(rda_alpha_grid(1)) == 2

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import opgd
 from opgd.cli import (
@@ -16,7 +18,8 @@ from opgd.cli import (
     serialize_model,
     write_manifest,
 )
-from opgd.classifier import fit_opgd, lda_fit, rda_fit, save_fit
+from opgd.classifier import LdaModel, OpgdModel, RdaModel, SaveModel, \
+    fit_opgd, lda_fit, rda_fit, save_fit
 from opgd.clustering import ClusterConfig, GmmModel, fit_gmm_em
 from opgd.core import ConfigError, DataError, Dataset
 from opgd.optimizer import OptimConfig
@@ -191,6 +194,73 @@ class TestModelFiles:
     def test_corrupt_file_rejected(self):
         with pytest.raises(DataError):
             parse_model("not a model file\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("field\tcovariances\t3\t3\t3\t3",
+                             "field\tcovariances\t2\t9\t3"),
+         "'covariances' has 2 axes, expected 3"),
+        (lambda t: t.replace("scalar\talpha\t0.5\n", ""),
+         r"missing fields: \['alpha'\]"),
+        (lambda t: t.replace("scalar\talpha\t0.5", "scalar\talpha"),
+         "malformed model file at line 5"),
+    ], ids=["field_axes", "missing_scalar", "short_scalar"])
+    def test_inconsistent_file_rejected(self, edit, message):
+        text = serialize_model(rda_fit(_labeled_dataset(3), 0.5))
+        with pytest.raises(DataError, match=message):
+            parse_model(edit(text))
+
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+    def test_label_a_file_cannot_store_is_refused(self, bad):
+        model = lda_fit(_labeled_dataset(1), 2, label_names=("x", bad, "z"))
+        with pytest.raises(DataError, match="holds a tab or line break"):
+            serialize_model(model)
+
+
+# A model file's fields by type tag, with their axes: K classes or
+# components, p input columns, d projected coordinates.
+_MODEL_FIELDS = {
+    "opgd": (OpgdModel, {"projection": "pd", "projected_means": "Kd",
+                         "projected_vars": "Kd", "priors": "K"}),
+    "lda": (LdaModel, {"projection": "pd", "means": "Kd",
+                       "covariance": "dd", "priors": "K"}),
+    "save": (SaveModel, {"projection": "pd", "means": "Kd",
+                         "covariances": "Kdd", "priors": "K"}),
+    "rda": (RdaModel, {"means": "Kp", "covariances": "Kpp", "priors": "K"}),
+    "gmm": (GmmModel, {"weights": "K", "means": "Kp",
+                       "covariances": "Kpp"}),
+}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Tabs separate a file's cells, and newlines or carriage returns its lines.
+_LABEL = st.text(st.characters(blacklist_characters="\t\n\r"), max_size=4)
+
+
+@st.composite
+def _models(draw, tag):
+    cls, fields = _MODEL_FIELDS[tag]
+    size = {axis: draw(st.integers(1, 4)) for axis in "Kpd"}
+    kwargs = {name: draw(arrays(float, tuple(size[a] for a in axes),
+                                elements=_FINITE))
+              for name, axes in fields.items()}
+    if tag == "rda":
+        kwargs["alpha"] = draw(_FINITE)
+    if tag != "gmm":
+        kwargs["label_names"] = tuple(draw(st.lists(
+            _LABEL, min_size=size["K"], max_size=size["K"])))
+    return cls(**kwargs)
+
+
+@pytest.mark.parametrize("tag", sorted(_MODEL_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_model_file_round_trip_is_byte_identical(tag, data):
+    """serialize -> parse -> serialize gives the same bytes for every
+    type, shape and finite value."""
+    model = data.draw(_models(tag))
+    text = serialize_model(model, "0123456789abcdef")
+    back, source = parse_model(text)
+    assert type(back) is type(model) and source == "0123456789abcdef"
+    assert serialize_model(back, source) == text
 
 
 class TestCommands:
@@ -367,6 +437,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "has 3 feature columns, the model was fitted on 2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("labels\t1\t2\t3", "labels\t1"),
+         "'means' has 3 classes, but the labels line has 1"),
+        (lambda t: t.replace("field\tpriors\t1\t3", "field\tpriors\t1\t2")
+         .rsplit("\t", 1)[0] + "\n",
+         "'priors' has 2 classes, but the labels line has 3"),
+    ], ids=["labels_cut", "priors_cut"])
+    def test_inconsistent_model_file_is_data_error(self, tmp_path, capsys,
+                                                   edit, message):
+        """A model file whose fields disagree with one another exits 3
+        with one error line."""
+        data = _blob_csv(tmp_path / "d.csv", seed=14)
+        model = tmp_path / "m.lda"
+        assert main(["fit", "--data", data, "--labels", "y", "--method",
+                     "lda", "--dim", "2", "--out", str(model)]) == 0
+        model.write_text(edit(model.read_text()))
+        capsys.readouterr()
+        rc = main(["predict", "--data", data, "--labels", "y", "--model",
+                   str(model), "--out", str(tmp_path / "p.tsv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"error: model field {message}\n"
 
     def test_evaluate_split_table(self, tmp_path):
         data = _blob_csv(tmp_path / "d.csv", seed=5, n_per=60, extra_cols=1)

@@ -11,7 +11,6 @@ from opgd.core import (
     DegenerateClassError,
     check_projection,
     compute_scatter,
-    diag_congruence,
     estimate_class_model,
     scatter_from_responsibilities,
     sphere,
@@ -152,15 +151,6 @@ class TestProjectionChecks:
         V[:, 1] = 0.0
         with pytest.raises(ConfigError, match="zero column"):
             check_projection(V, 3)
-
-    def test_diag_congruence_matches_direct(self):
-        rng = np.random.default_rng(8)
-        S = rng.standard_normal((5, 5))
-        S = S @ S.T
-        V = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(
-            diag_congruence(V, S), np.diag(V.T @ S @ V), atol=1e-12
-        )
 
     def test_symmetrize(self):
         A = np.array([[1.0, 2.0], [0.0, 3.0]])

@@ -8,8 +8,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from opgd.clustering import GmmModel, grad_cluster_objective
-from opgd.core import Dataset, NumericalError, diag_congruence, \
-    estimate_class_model
+from opgd.core import Dataset, NumericalError, estimate_class_model
 from opgd.objective import (
     ClampStats,
     build_workspace,
@@ -20,11 +19,9 @@ from opgd.objective import (
     full_gaussian_log_densities,
     grad_ell1,
     grad_ell2,
-    grad_log_density_projected,
     grad_objective,
     grad_weighted_log_densities,
     log_densities,
-    log_density_projected,
     posteriors,
     projected_variances,
     component_logsumexp,
@@ -89,20 +86,17 @@ class TestLogDensities:
             )
             np.testing.assert_allclose(L[:, k], ref, atol=1e-10)
 
-    def test_single_point_helper_agrees(self):
-        ds, model, V = _instance(4, n=8, p=3, K=2, dim=2)
-        L = log_densities(ds.X, V, model.means, model.covariances)
-        got = log_density_projected(
-            ds.X[3], V, model.means[1], model.covariances[1]
-        )
-        np.testing.assert_allclose(got, L[3, 1], atol=1e-12)
-
     def test_single_point_gradient(self):
-        """Per-point gradient of log phi(V'x) against finite differences."""
+        """Per-point gradient of log phi(V'x) against finite differences:
+        the weighted kernel with one unit weight."""
         ds, model, V = _instance(5, n=10, p=4, K=2, dim=2)
-        x, mu, cov = ds.X[2], model.means[0], model.covariances[0]
-        G = grad_log_density_projected(x, V, mu, cov)
-        G_fd = _fd_gradient(lambda W: log_density_projected(x, W, mu, cov), V)
+        ws = build_workspace(ds.X, V, model)
+        W = np.zeros((model.K, ds.n))
+        W[0, 2] = 1.0
+        G = grad_weighted_log_densities(ds.X, model.means, ws.cov_proj,
+                                        ws.proj_vars, ws.diffs, W)
+        G_fd = _fd_gradient(lambda M: log_densities(
+            ds.X, M, model.means, model.covariances)[2, 0], V)
         np.testing.assert_allclose(G, G_fd, rtol=1e-6, atol=1e-8)
 
 
@@ -282,11 +276,14 @@ class TestDecomposition:
 class TestWorkspace:
     def test_pieces_match_their_definitions(self):
         ds, model, V = _instance(13, n=40, p=5, K=3, dim=2)
-        ws = build_workspace(ds, V, model)
+        ws = build_workspace(ds.X, V, model, ds.label_index)
         logpost = np.log(model.priors)[:, None] + \
             log_densities(ds.X, V, model.means, model.covariances).T
         post = np.exp(logpost - logsumexp(logpost, axis=0, keepdims=True))
         np.testing.assert_allclose(ws.posteriors, post, rtol=1e-13)
+        np.testing.assert_array_equal(ws.log_joint, logpost)
+        np.testing.assert_allclose(ws.log_mix, logsumexp(logpost, axis=0),
+                                   rtol=1e-13)
         np.testing.assert_allclose(
             ws.log_likelihood,
             np.log(post[ds.labels - 1, np.arange(ds.n)]).sum(), rtol=1e-12)
@@ -298,7 +295,7 @@ class TestWorkspace:
 
     def test_observation_axis_is_last_and_contiguous(self):
         ds, model, V = _instance(16, n=50, p=6, K=4, dim=3)
-        ws = build_workspace(ds, V, model)
+        ws = build_workspace(ds.X, V, model)
         assert ws.diffs.shape == (4, 3, 50)
         assert ws.posteriors.shape == (4, 50)
         assert ws.diffs.flags.c_contiguous
@@ -306,7 +303,7 @@ class TestWorkspace:
 
     def test_unlabeled_dataset_has_no_log_likelihood(self):
         ds, model, V = _instance(14)
-        ws = build_workspace(Dataset(X=ds.X), V, model)
+        ws = build_workspace(ds.X, V, model)
         assert ws.log_likelihood is None
         np.testing.assert_allclose(ws.posteriors.sum(axis=0), 1.0)
 
@@ -360,7 +357,7 @@ class TestGradients:
         ref = -sum((model.covariances[k] @ V) * (model.counts[k] / pv[k])
                    for k in range(model.K))
         np.testing.assert_allclose(
-            grad_ell1(ds, V, model, build_workspace(ds, V, model)), ref,
+            grad_ell1(ds, V, model, build_workspace(ds.X, V, model)), ref,
             rtol=1e-13)
 
     def test_ell2_gradient(self):
@@ -411,7 +408,7 @@ def _scatter_grad(X, V, means, covariances, W):
     G = np.zeros_like(V)
     for k in range(covariances.shape[0]):
         s = proj_vars[k]
-        coef = (diag_congruence(V, S[k]) / s - col_mass[k]) / s
+        coef = (np.diag(V.T @ S[k] @ V) / s - col_mass[k]) / s
         G += (covariances[k] @ V) * coef[None, :] - (S[k] @ V) / s[None, :]
     return G
 

@@ -38,7 +38,7 @@ def _cosine(u, v):
 class TestOptimConfig:
     def test_defaults_valid(self):
         cfg = OptimConfig()
-        assert cfg.max_iters > 0 and 0 < cfg.backtrack_factor < 1
+        assert cfg.max_iters > 0 and 0 < optimizer.BACKTRACK < 1
 
     def test_zero_iterations_allowed(self):
         assert OptimConfig(max_iters=0).max_iters == 0
@@ -48,20 +48,20 @@ class TestOptimConfig:
         [
             {"max_iters": -1},
             {"grad_tol": 0.0},
-            {"init_step": -2.0},
-            {"backtrack_factor": 1.0},
-            {"backtrack_factor": 0.0},
-            {"armijo_c": 0.0},
+            {"grad_tol": -2.0},
+            {"epsilon_init": 0.0},
+            {"ridge_frac": 0.0},
+            {"grad_tol": -np.inf},
             {"epsilon_init": -1e-3},
             {"ridge_frac": -1.0},
             {"grad_tol": np.nan},
-            {"init_step": np.inf},
-            {"armijo_c": np.nan},
+            {"grad_tol": np.inf},
+            {"epsilon_init": -np.inf},
             {"epsilon_init": np.nan},
             {"epsilon_init": np.inf},
             {"ridge_frac": np.nan},
             {"ridge_frac": -np.inf},
-            {"backtrack_factor": np.nan},
+            {"ridge_frac": np.inf},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -232,8 +232,8 @@ class TestAscend:
             G = grad(V)
             t = step
             while t >= MIN_STEP and value(V + t * G) < \
-                    f + config.armijo_c * t * float(np.sum(G * G)):
-                t *= config.backtrack_factor
+                    f + optimizer.ARMIJO_C * t * float(np.sum(G * G)):
+                t *= optimizer.BACKTRACK
             V = V + t * G
             f, step = value(V), 2.0 * t
         assert np.abs(V - V_opt).max() > 0.1
