@@ -25,6 +25,7 @@ from opgd.core import (
     compute_scatter,
     estimate_class_model,
 )
+from opgd.evaluation import default_grid
 from opgd.optimizer import OptimConfig
 
 
@@ -295,3 +296,8 @@ class TestRda:
             yhat, post = rda_predict(m, X)
         assert np.all(np.isfinite(post))
         assert set(yhat) <= {1, 2}
+
+    def test_alpha_grid(self):
+        g = default_grid("rda", 10, 3)
+        assert g[0] == 0.0 and g[-1] == 1.0 and len(g) == 10
+        assert default_grid("rda", 1, 2) == [0.0, 1.0]

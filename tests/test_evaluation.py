@@ -216,7 +216,6 @@ class TestDefaultGrid:
         assert default_grid("save", 4, 2) == [1, 2, 3, 4]
         g = default_grid("rda", 10, 3)
         assert g[0] == 0.0 and g[-1] == 1.0 and len(g) == 10
-        assert default_grid("rda", 1, 2) == [0.0, 1.0]
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
