@@ -455,7 +455,7 @@ def _ingest(args, group_column: str | None = None):
     ing = ingest_csv(args.data, label_column=args.labels,
                      perturb_sd=args.perturb, drop_constant=args.drop_constant,
                      seed=args.seed, group_column=group_column)
-    params = dict(epsilon=args.epsilon, ridge=args.ridge,
+    params = dict(labels=args.labels, epsilon=args.epsilon, ridge=args.ridge,
                   max_iters=args.max_iters, perturb=args.perturb,
                   drop_constant=args.drop_constant,
                   dropped=",".join(ing.dropped_columns) or None)
@@ -494,7 +494,7 @@ def cmd_predict(args) -> int:
     model, _source_id = _read_model(args.model)
     ing = ingest_csv(args.data, label_column=args.labels, seed=args.seed)
     manifest = make_manifest("predict", args.data, args.seed,
-                             model=args.model)
+                             model=args.model, labels=args.labels)
     if ing.dataset.p != model.p:
         raise DataError(f"{args.data} has {ing.dataset.p} feature columns, "
                         f"the model was fitted on {model.p}")
@@ -536,6 +536,15 @@ def cmd_features(args) -> int:
 
 def cmd_cluster(args) -> int:
     opt, ing, params = _ingest(args)
+    gmm = None
+    if args.init_gmm:
+        gmm, _ = _read_model(args.init_gmm)
+        if not isinstance(gmm, GmmModel):
+            raise ConfigError(f"{args.init_gmm} is not a gmm model file")
+        if gmm.K != args.clusters:
+            raise ConfigError(f"--clusters {args.clusters} disagrees with "
+                              f"{args.init_gmm}, which has {gmm.K} "
+                              "components")
     manifest = make_manifest(
         "cluster", args.data, args.seed, clusters=args.clusters, dim=args.dim,
         lam=args.lam, pca_threshold=args.pca_threshold,
@@ -544,15 +553,11 @@ def cmd_cluster(args) -> int:
     if args.pca_threshold is not None:
         X, _basis = pca_prefilter(X, args.pca_threshold)
     cc = ClusterConfig(lam=args.lam, seed=args.seed)
-    if args.init_gmm:
-        gmm, _ = _read_model(args.init_gmm)
-        if not isinstance(gmm, GmmModel):
-            raise ConfigError(f"{args.init_gmm} is not a gmm model file")
-        if gmm.p != X.shape[1]:
-            raise DataError(f"initial mixture has {gmm.p} dims, data has "
-                            f"{X.shape[1]} (after any pre-filter)")
-    else:
+    if gmm is None:
         gmm = fit_gmm_em(X, args.clusters, cc)
+    elif gmm.p != X.shape[1]:
+        raise DataError(f"initial mixture has {gmm.p} dims, data has "
+                        f"{X.shape[1]} (after any pre-filter)")
     initial_labels = hard_labels(X, gmm)
     V, labels, _projected = enhance_gmm(X, gmm, args.dim, cc, opt)
     Z = X @ V
@@ -749,7 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="variance ratio for the collinearity pre-filter "
                           "(e.g. 0.999)")
     clu.add_argument("--init-gmm", default=None,
-                     help="gmm model file to start from instead of EM")
+                     help="gmm model file to start from instead of EM; "
+                     "it must hold --clusters components")
     clu.add_argument("--out", required=True)
     clu.set_defaults(func=cmd_cluster)
 

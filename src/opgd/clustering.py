@@ -19,6 +19,14 @@ nothing, or when the log-likelihood gain still to come by Aitken's
 extrapolation of the last three values is at most
 ``em_tol * max(1, |loglik|)`` (``em_tol = 1e-5`` by default). An EM that
 reaches ``em_max_iters`` first stops there with a ``UserWarning``.
+
+Both EMs work observation-last, like the projected model in
+:mod:`opgd.objective`: log joints, their log-sum-exps and the
+responsibilities are C-contiguous ``(K, n)`` arrays, so numpy's inner
+loops run over the observations, not over the few components. The
+full-space M-step takes the means from one product ``R X`` and each
+scatter from a ``(p, n)`` buffer of responsibility-weighted differences
+times its own transpose.
 """
 
 from __future__ import annotations
@@ -34,9 +42,9 @@ from .core import ConfigError, DataError, Dataset, _readonly, \
     symmetrize, variance_floors
 # ``log_densities`` is imported only for perfbench's tracer, which wraps it
 # here.
-from .objective import build_workspace, cholesky_factors, \
-    classification_log_likelihood, component_logsumexp, diag_log_densities, \
-    full_gaussian_log_densities, grad_objective, \
+from .objective import GradientWorkspace, build_workspace, \
+    cholesky_factors, classification_log_likelihood, component_logsumexp, \
+    diag_log_densities, full_gaussian_log_densities, grad_objective, \
     grad_weighted_log_densities, log_densities, \
     projected_variances  # noqa: F401
 from .optimizer import OptimConfig, ascend, init_projection
@@ -212,11 +220,12 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     data_cov_trace = float(np.var(X, axis=0).sum())
 
     assign = _kmeans(X, K, rng)
-    R = np.zeros((n, K))
-    R[np.arange(n), assign] = 1.0
+    R = np.zeros((K, n))
+    R[assign, np.arange(n)] = 1.0
 
     eye = np.eye(p)
-    buf = np.empty_like(X)
+    XT = np.ascontiguousarray(X.T)
+    buf = np.empty_like(XT)
     means = np.empty((K, p))
     covs = np.zeros((K, p, p))
     trace = []
@@ -224,15 +233,15 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     for _ in range(config.em_max_iters + 1):
         # M-step: all means from one product, each scatter from one
         # weighted-difference buffer, one Cholesky to test the floors
-        mass = R.sum(axis=0)
+        mass = R.sum(axis=1)
         dead = mass < 1e-10
         live = np.flatnonzero(~dead)
-        np.divide(R.T @ X, np.where(dead, 1.0, mass)[:, None], out=means)
+        np.divide(R @ X, np.where(dead, 1.0, mass)[:, None], out=means)
         root = np.sqrt(R)
         for k in live:
-            np.subtract(X, means[k], out=buf)
-            buf *= root[:, k, None]
-            np.matmul(buf.T, buf, out=covs[k])
+            np.subtract(XT, means[k, :, None], out=buf)
+            buf *= root[k]
+            np.matmul(buf, buf.T, out=covs[k])
             covs[k] /= mass[k]
         covs = symmetrize(covs)
         floors = config.cov_floor * np.maximum(
@@ -254,13 +263,13 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
                 config.cov_floor * max(data_cov_trace, 1e-12) / p)
             weights[k] = 1.0 / n
         weights = weights / weights.sum()
-        # E-step
-        ld = full_gaussian_log_densities(X, means, covs)
-        joint = np.log(weights)[:, None] + ld.T
+        # E-step on (K, n) arrays
+        joint = np.log(weights)[:, None] + \
+            full_gaussian_log_densities(X, means, covs).T
         ll_per_point = component_logsumexp(joint)
         ll = float(ll_per_point.sum())
         trace.append(ll)
-        R = np.exp(joint - ll_per_point).T
+        R = np.exp(joint - ll_per_point)
         if _em_converged(trace, config.em_tol):
             break
     else:
@@ -290,15 +299,22 @@ def _penalty(V):
     return float(np.sum(G * G))
 
 
-def cluster_objective(X, V, gmm: GmmModel, lam: float) -> float:
-    """Max-component log-posterior sum minus the orthonormality penalty."""
+def cluster_objective(X, V, gmm: GmmModel, lam: float,
+                      workspace: GradientWorkspace | None = None) -> float:
+    """Max-component log-posterior sum minus the orthonormality penalty.
+
+    ``workspace``, when given, is ``build_workspace(X, V, gmm)`` and is
+    read instead of evaluating the mixture again.
+    """
     V = check_projection(V, gmm.p)
-    ws = build_workspace(np.asarray(X, dtype=float), V, gmm)
+    ws = workspace if workspace is not None \
+        else build_workspace(np.asarray(X, dtype=float), V, gmm)
     term1 = float((ws.log_joint.max(axis=0) - ws.log_mix).sum())
     return term1 - lam * _penalty(V)
 
 
-def grad_cluster_objective(X, V, gmm: GmmModel, lam: float):
+def grad_cluster_objective(X, V, gmm: GmmModel, lam: float,
+                           workspace: GradientWorkspace | None = None):
     """Gradient of :func:`cluster_objective`.
 
     The per-point argmax components are recomputed here (ties to the
@@ -307,11 +323,12 @@ def grad_cluster_objective(X, V, gmm: GmmModel, lam: float):
     that of ``sum_ik (hard_ik - post_ik) log phi_k(V'x_i)`` with both
     weights held fixed; the kernel is linear in the weights, so one call
     covers numerator and mixture denominator. The penalty contributes
-    ``-4 lam V (V'V - I)``.
+    ``-4 lam V (V'V - I)``. ``workspace`` is as for
+    :func:`cluster_objective`.
     """
     X = np.asarray(X, dtype=float)
     V = check_projection(V, gmm.p)
-    ws = build_workspace(X, V, gmm)
+    ws = workspace if workspace is not None else build_workspace(X, V, gmm)
     W = -ws.posteriors
     W[np.argmax(ws.log_joint, axis=0), np.arange(X.shape[0])] += 1.0
     G = grad_weighted_log_densities(X, gmm.means, ws.cov_proj, ws.proj_vars,
@@ -438,6 +455,11 @@ def enhance_gmm(X, gmm: GmmModel, dim: int, config: ClusterConfig | None = None,
     initialized from the projected mixture parameters. Returns the
     projection, the 1-based maximum-responsibility labels, and the
     re-estimated projected mixture (diagonal covariances).
+
+    As in :func:`~opgd.optimizer.maximize`, each value request builds a
+    workspace and keeps the last one; :func:`ascend` asks for the
+    gradient only at the point it just valued, so the gradient reads
+    that workspace instead of evaluating the mixture again.
     """
     config = config if config is not None else ClusterConfig()
     opt = opt if opt is not None else OptimConfig()
@@ -452,9 +474,19 @@ def enhance_gmm(X, gmm: GmmModel, dim: int, config: ClusterConfig | None = None,
     V0 = init_projection(scatter, dim, opt)
     V0 = np.linalg.qr(V0)[0]
 
-    V, _ = ascend(lambda M: cluster_objective(X, M, gmm, lam),
-                  lambda M: grad_cluster_objective(X, M, gmm, lam),
-                  V0, opt, scale=float(n))
+    last = {}
+
+    def value(M):
+        last["V"] = np.array(M, dtype=float)
+        last["ws"] = build_workspace(X, last["V"], gmm)
+        return cluster_objective(X, last["V"], gmm, lam, workspace=last["ws"])
+
+    def grad(M):
+        ws = last["ws"] if "V" in last and np.array_equal(M, last["V"]) \
+            else None
+        return grad_cluster_objective(X, M, gmm, lam, workspace=ws)
+
+    V, _ = ascend(value, grad, V0, opt, scale=float(n))
 
     Z = X @ V
     weights, means, variances, resp, _ = _diag_em(

@@ -31,7 +31,8 @@ posteriors are ``(K, n)``. With the few coordinates of a projection and
 the few components of a mixture, numpy's inner loops then run over the
 n observations, not over 2 to 10 entries. The public functions that
 return one row per observation (:func:`log_densities`,
-:func:`posteriors`) transpose at the boundary.
+:func:`full_gaussian_log_densities`, :func:`posteriors`) transpose at
+the boundary.
 
 All gradients here are exact: the dependence of the projected means and
 variances on ``V`` is differentiated through, not held fixed. The
@@ -58,8 +59,13 @@ Cholesky factor ``L_k``. All K factors come from one batched Cholesky
 and one batched inverse, and all K quadratics from one matrix product
 of ``[Z - c, 1]`` against the stacked ``L_k^{-T}``, with the shifted
 means ``-(mu_k - c)' L_k^{-T}`` in the extra row; the shift ``c`` is the
-mean of the component means. Only numpy's LAPACK is used, so the
-package runs on one BLAS thread pool.
+mean of the component means. The product is taken in blocks of rows,
+and each block's squared norms go into the columns of a C-contiguous
+``(K, n)`` array: the full-covariance densities are observation-last
+too, and the mixture EM, the responsibilities and the baseline
+predictors read the ``(K, n)`` transpose of the public ``n x K`` result
+without a copy. Only numpy's LAPACK is used, so the package runs on one
+BLAS thread pool.
 
 Every log-sum-exp in the package goes through
 :func:`component_logsumexp`, which reduces a ``(K, n)`` array over its
@@ -186,10 +192,11 @@ def full_gaussian_log_densities(Z, means, covariances):
 
     The quadratic is ``||(Z - mu_k) L^{-T}||^2`` for the lower factor
     ``L`` of ``Sigma_k``, for all components in one matrix product (see
-    the module docstring). A covariance that fails to factor gets a
-    ridge of 1e-8 * trace/d on the diagonal, with a warning; one that
-    still fails (indefinite) raises ``LinAlgError``. A covariance with a
-    non-finite entry raises ``NumericalError``.
+    the module docstring). Like :func:`log_densities`, the result is the
+    transpose of a C-contiguous ``(K, n)`` array. A covariance that
+    fails to factor gets a ridge of 1e-8 * trace/d on the diagonal, with
+    a warning; one that still fails (indefinite) raises ``LinAlgError``.
+    A covariance with a non-finite entry raises ``NumericalError``.
     """
     n, d = Z.shape
     K = means.shape[0]
@@ -214,13 +221,15 @@ def full_gaussian_log_densities(Z, means, covariances):
     W[:d] = inv_t.transpose(1, 0, 2)
     W[d] = -np.einsum("kj,kjl->kl", means - center, inv_t)
     W = W.reshape(d + 1, K * d)
-    quad = np.empty((n, K))
+    quad = np.empty((K, n))
     rows = max(1, _BLOCK_ENTRIES // (K * d))
     for lo in range(0, n, rows):
         Y = (Z1[lo:lo + rows] @ W).reshape(-1, K, d)
-        quad[lo:lo + rows] = np.einsum("ikj,ikj->ik", Y, Y)
+        quad[:, lo:lo + rows] = np.einsum("ikj,ikj->ki", Y, Y)
     logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-    return -0.5 * ((d * LOG_2PI + logdet)[None, :] + quad)
+    quad += (d * LOG_2PI + logdet)[:, None]
+    quad *= -0.5
+    return quad.T
 
 
 def log_densities(X, V, means, covariances, clamp: ClampStats | None = None):

@@ -614,6 +614,71 @@ class TestDeterminism:
         assert ids[0] != ids[1]
 
 
+class TestManifestParams:
+    @staticmethod
+    def _manifest_id(capsys):
+        out = capsys.readouterr().out
+        return [l for l in out.splitlines() if l.startswith("manifest\t")][0]
+
+    def test_label_column_changes_the_fit_manifest(self, tmp_path, capsys):
+        """Two label-like columns: fitting on one or the other gives
+        different models, so the manifest ids differ too."""
+        rng = np.random.default_rng(15)
+        y = np.repeat([1, 2], 30)
+        z = np.tile([1, 2], 30)
+        X = rng.standard_normal((60, 2)) + 3.0 * y[:, None]
+        rows = [f"{a!r},{b!r},{c},{d}"
+                for (a, b), c, d in zip(X.tolist(), y, z)]
+        data = _write(tmp_path / "d.csv", "\n".join(["x1,x2,y,z"] + rows)
+                      + "\n")
+        ids, models = [], []
+        for label in ("y", "z"):
+            out = str(tmp_path / f"m_{label}.lda")
+            assert main(["fit", "--data", data, "--method", "lda",
+                         "--dim", "1", "--labels", label, "--out", out]) == 0
+            ids.append(self._manifest_id(capsys))
+            models.append([l for l in open(out).read().splitlines()
+                           if not l.startswith("manifest\t")])
+        assert models[0] != models[1]
+        assert ids[0] != ids[1]
+        assert "param\tlabels\tz\n" in open(out + ".manifest").read()
+
+    def test_label_column_changes_the_cluster_manifest(self, tmp_path,
+                                                       capsys):
+        """On a two-column file, ``--labels y`` takes ``y`` out of the
+        features; without it ``y`` is clustered on."""
+        rng = np.random.default_rng(16)
+        x = np.r_[rng.standard_normal(30), 5.0 + rng.standard_normal(30)]
+        y = np.repeat([1, 2], 30)
+        data = _write(tmp_path / "d.csv", "\n".join(
+            ["x,y"] + [f"{a!r},{b}" for a, b in zip(x.tolist(), y)]) + "\n")
+        ids = []
+        for tag, extra in (("plain", []), ("labeled", ["--labels", "y"])):
+            out = str(tmp_path / f"{tag}.tsv")
+            assert main(["cluster", "--data", data, "--clusters", "2",
+                         "--dim", "1", "--max-iters", "20", "--out", out]
+                        + extra) == 0
+            ids.append(self._manifest_id(capsys))
+        assert ids[0] != ids[1]
+
+    def test_init_gmm_with_other_cluster_count_is_config_error(
+            self, tmp_path, capsys):
+        data = _blob_csv(tmp_path / "d.csv", seed=17)
+        X = ingest_csv(data, label_column="y").dataset.X
+        init = _write(tmp_path / "one.gmm", serialize_model(
+            fit_gmm_em(X, 1, ClusterConfig(seed=17)), "0" * 16))
+        out = tmp_path / "c.tsv"
+        rc = main(["cluster", "--data", data, "--labels", "y",
+                   "--clusters", "3", "--dim", "1", "--init-gmm", init,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --clusters 3 disagrees with ")
+        assert "which has 1 components" in err and "Traceback" not in err
+        assert not out.exists()
+        assert not (tmp_path / "c.tsv.manifest").exists()
+
+
 def test_no_scipy_at_run_time(tmp_path):
     """A fresh interpreter that fits, predicts and clusters through the
     CLI never imports scipy."""

@@ -363,6 +363,22 @@ class TestClusterObjective:
         G_fd = _fd_gradient(lambda M: cluster_objective(X, M, gmm, lam), V)
         np.testing.assert_allclose(G, G_fd, rtol=1e-5, atol=1e-7)
 
+    def test_workspace_gives_the_same_value_and_gradient(self):
+        """A workspace built at ``V`` gives exactly what each function
+        computes without one."""
+        from opgd.objective import build_workspace
+
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((40, 4)) * 2.0
+        gmm = _random_gmm(rng, 3, 4)
+        V = rng.standard_normal((4, 2))
+        ws = build_workspace(X, V, gmm)
+        assert cluster_objective(X, V, gmm, 4.0, workspace=ws) == \
+            cluster_objective(X, V, gmm, 4.0)
+        np.testing.assert_array_equal(
+            grad_cluster_objective(X, V, gmm, 4.0, workspace=ws),
+            grad_cluster_objective(X, V, gmm, 4.0))
+
     def test_penalty_gradient_alone(self):
         """With a flat assignment term (K = 1) only the penalty drives V."""
         rng = np.random.default_rng(8)
@@ -463,6 +479,42 @@ class TestEnhanceGmm:
             scatter_from_responsibilities(X, R), 2, OptimConfig()))[0]
         assert cluster_objective(X, V, gmm, lam) >= \
             cluster_objective(X, V0, gmm, lam) - 1e-9
+
+    def test_gradient_reuses_the_workspace_of_its_value(self, monkeypatch):
+        """Each value request builds one workspace; the gradient at the
+        point just valued builds none. Each request still calls the
+        objective or its gradient once."""
+        import opgd.clustering as clustering
+
+        X, _ = _three_blobs(12, p_extra=2)
+        cc = ClusterConfig(seed=12)
+        gmm = fit_gmm_em(X, 3, cc)
+        calls = dict.fromkeys(("value", "grad", "build_workspace",
+                               "cluster_objective",
+                               "grad_cluster_objective"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        ascend = clustering.ascend
+
+        def counting_ascend(value_fn, grad_fn, *args, **kwargs):
+            return ascend(counted("value", value_fn),
+                          counted("grad", grad_fn), *args, **kwargs)
+
+        monkeypatch.setattr(clustering, "ascend", counting_ascend)
+        for name in ("build_workspace", "cluster_objective",
+                     "grad_cluster_objective"):
+            monkeypatch.setattr(clustering, name,
+                                counted(name, getattr(clustering, name)))
+        enhance_gmm(X, gmm, 2, cc, OptimConfig(max_iters=50))
+        assert calls["grad"] > 1
+        assert calls["build_workspace"] == calls["value"]
+        assert calls["cluster_objective"] == calls["value"]
+        assert calls["grad_cluster_objective"] == calls["grad"]
 
     def test_dim_validation(self):
         X, _ = _three_blobs(11)

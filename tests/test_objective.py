@@ -189,6 +189,15 @@ class TestFullGaussianLogDensities:
         np.testing.assert_array_equal(
             full_gaussian_log_densities(Z, means, covs), whole)
 
+    def test_observation_axis_is_last_and_contiguous(self):
+        rng = np.random.default_rng(6)
+        Z = rng.standard_normal((40, 3))
+        means = rng.standard_normal((4, 3))
+        covs = np.stack([self._spd(rng, 3) for _ in range(4)])
+        ld = full_gaussian_log_densities(Z, means, covs)
+        assert ld.shape == (40, 4)
+        assert ld.T.flags.c_contiguous
+
     def test_ill_conditioned_covariance(self):
         rng = np.random.default_rng(2)
         S = self._spd(rng, 6, cond=1e8)
