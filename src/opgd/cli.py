@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import os
 import re
 import sys
@@ -45,27 +46,34 @@ from .optimizer import OptimConfig
 
 FORMAT_VERSION = "opgd-model-v1"
 MANIFEST_VERSION = "opgd-manifest-v1"
+# tables are formatted and written this many rows at a time
+_BLOCK_ROWS = 4096
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _fmt_rows(A) -> list[list[str]]:
-    """The ``repr`` of every entry of a 2-d array, row by row."""
-    rows = np.asarray(A, dtype=float).tolist()
-    return [list(map(repr, row)) for row in rows]
+def _fmt_rows(A):
+    """The ``repr`` of every entry of a 2-d array, row by row, formatted
+    :data:`_BLOCK_ROWS` rows at a time."""
+    A = np.asarray(A, dtype=float)
+    for lo in range(0, len(A), _BLOCK_ROWS):
+        for row in A[lo:lo + _BLOCK_ROWS].tolist():
+            yield list(map(repr, row))
 
 
-def _atomic_write(path: str, text: str):
-    """Write ``text`` to ``path`` through a temporary file in the same
-    directory; an unwritable path is a ``ConfigError`` naming it."""
+def _atomic_write(path: str, text):
+    """Write ``text``, a string or an iterable of string chunks, to
+    ``path`` through a temporary file in the same directory; an
+    unwritable path is a ``ConfigError`` naming it."""
+    chunks = (text,) if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".opgd-tmp-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -87,8 +95,14 @@ class IngestResult:
     groups: np.ndarray | None         # raw group keys, aligned with rows
 
 
+_DELIMITERS = ("\t", ",", ";")
+# a character that is not whitespace, a quote or the delimiter
+_CONTENT = {d: re.compile(f'[^\\s"{re.escape(d)}]').search
+            for d in _DELIMITERS}
+
+
 def _sniff_delimiter(header_line: str) -> str:
-    counts = {d: header_line.count(d) for d in ("\t", ",", ";")}
+    counts = {d: header_line.count(d) for d in _DELIMITERS}
     return max(counts, key=counts.get) if max(counts.values()) else ","
 
 
@@ -102,24 +116,24 @@ def _read_text(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _cells(path: str, lines: list[str], i: int, delim: str) -> list[str]:
-    """The cells of ``lines[i]`` as ``csv`` splits them; a quoted field
-    left open at the end of the line is a ``DataError``."""
-    reader = csv.reader((lines[i], ""), delimiter=delim)
+def _cells(path: str, line: str, lineno: int, delim: str) -> list[str]:
+    """The cells of ``line``, line ``lineno`` of the file, as ``csv``
+    splits them; a quoted field left open at the end of the line is a
+    ``DataError``."""
+    reader = csv.reader((line, ""), delimiter=delim)
     cells = next(reader)
     if reader.line_num > 1:
-        raise DataError(f"{path}: row {i + 1} has a quoted field that is "
+        raise DataError(f"{path}: row {lineno} has a quoted field that is "
                         "not closed on its line")
     return cells
 
 
-def _data_rows(lines: list[str], delim: str) -> list[int]:
-    """Indices of the lines after the header that have a cell that is
-    not whitespace. Only a line made of whitespace, delimiters and
-    quotes needs ``csv`` to decide."""
-    content = re.compile(f'[^\\s"{re.escape(delim)}]').search
-    return [i for i in range(1, len(lines)) if content(lines[i]) or any(
-        c.strip() for c in next(csv.reader([lines[i]], delimiter=delim), []))]
+def _is_data_row(line: str, delim: str) -> bool:
+    """Whether ``line``, a line after the header without its line end,
+    has a cell that is not whitespace. Only a line made of whitespace,
+    delimiters and quotes needs ``csv`` to decide."""
+    return bool(_CONTENT[delim](line)) or any(
+        c.strip() for c in next(csv.reader([line], delimiter=delim), []))
 
 
 def _is_number(cell: str) -> bool:
@@ -136,13 +150,17 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _name_fault(path: str, lines: list[str], keep: list[int], delim: str,
-                header: list[str], feature_idx: list[int]):
-    """Raise the ``DataError`` for the first data row the table reader
-    rejected: an open quoted field, a ragged row, or a cell that is not
-    a number, with its file line number and column."""
-    for i in keep:
-        row = _cells(path, lines, i, delim)
+def _name_fault(path: str, delim: str, header: list[str],
+                feature_idx: list[int]):
+    """Re-read the file and raise the ``DataError`` for the first data
+    row the table reader rejected: an undecodable byte, an open quoted
+    field, a ragged row, or a cell that is not a number, with its file
+    line number and column."""
+    lines = _read_text(path).split("\n")
+    for i in range(1, len(lines)):
+        if not _is_data_row(lines[i], delim):
+            continue
+        row = _cells(path, lines[i], i + 1, delim)
         if len(row) != len(header):
             raise DataError(f"{path}: row {i + 1} has {len(row)} fields, "
                             f"expected {len(header)}")
@@ -159,58 +177,88 @@ def ingest_csv(path: str, label_column: str | None = None,
     """Load a delimited numeric table with a header row.
 
     The text is UTF-8 with ``"`` quoting and no field spanning lines;
-    rows whose cells are all whitespace are skipped. numpy's C reader
-    parses the data rows in one call. The label column (when named) is
-    mapped to contiguous class ids 1..K, numerically when every value
-    parses as a number, otherwise lexically; original names are kept.
-    Constant feature columns are dropped when requested, then an
-    optional i.i.d. Gaussian perturbation with per-column sd
-    ``perturb_sd * column_sd`` is applied using ``seed``. Faults name
-    the file line number.
+    rows whose cells are all whitespace are skipped. The header is read
+    and its columns checked first; then the data rows are streamed from
+    the open file into numpy's C reader, one line at a time. The reader
+    never holds the file's text or a list of its lines: at its peak it
+    holds the parsed table and a C-contiguous copy of its feature
+    columns, and it frees the table before the dataset takes its own
+    copy of those columns.
+
+    The label column (when named) is mapped to contiguous class ids
+    1..K, numerically when every value parses as a number, otherwise
+    lexically; original names are kept. Constant feature columns are
+    dropped when requested, then an optional i.i.d. Gaussian
+    perturbation with per-column sd ``perturb_sd * column_sd`` is
+    applied using ``seed``. Faults name the file line number: a table
+    the reader rejects is read again to find the row at fault.
     """
     if not (np.isfinite(perturb_sd) and perturb_sd >= 0):
         raise ConfigError("perturb sd fraction must be a finite non-negative "
                           f"number, got {perturb_sd!r}")
-    lines = _read_text(path).split("\n")
-    if not lines[0].strip():
-        raise DataError(f"{path}: empty file")
-    delim = _sniff_delimiter(lines[0])
-    header = [h.strip() for h in _cells(path, lines, 0, delim)]
-    keep = _data_rows(lines, delim)
-    if not keep:
-        raise DataError(f"{path}: no data rows")
+    n_rows = 0
 
-    special = {}
-    for role, name in (("label", label_column), ("group", group_column)):
-        if name is None:
-            continue
-        if name not in header:
-            raise ConfigError(f"{path}: no column named {name!r} "
-                              f"(columns: {', '.join(header)})")
-        special[role] = header.index(name)
-    feature_idx = [j for j in range(len(header)) if j not in special.values()]
+    def data_lines(fh, delim):
+        nonlocal n_rows
+        for line in fh:
+            line = line.rstrip("\n")
+            if _is_data_row(line, delim):
+                n_rows += 1
+                yield line
 
-    # label and group cells become first-seen codes of their stripped text
-    codes = {j: {} for j in special.values()}
-    converters = {
-        j: (lambda s, seen=seen: seen.setdefault(s.strip(), len(seen)))
-        for j, seen in codes.items()}
     try:
-        A = np.loadtxt([lines[i] for i in keep], delimiter=delim,
-                       comments=None, quotechar='"', dtype=float, ndmin=2,
-                       converters=converters)
-    except ValueError:
-        A = None
-    if A is None or A.shape != (len(keep), len(header)):
-        _name_fault(path, lines, keep, delim, header, feature_idx)
-    X = np.ascontiguousarray(A[:, feature_idx])
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline().rstrip("\n")
+            if not first.strip():
+                raise DataError(f"{path}: empty file")
+            delim = _sniff_delimiter(first)
+            header = [h.strip() for h in _cells(path, first, 1, delim)]
+            rows = data_lines(fh, delim)
+            first_row = next(rows, None)
+            if first_row is None:
+                raise DataError(f"{path}: no data rows")
+
+            special = {}
+            for role, name in (("label", label_column),
+                               ("group", group_column)):
+                if name is None:
+                    continue
+                if name not in header:
+                    raise ConfigError(f"{path}: no column named {name!r} "
+                                      f"(columns: {', '.join(header)})")
+                special[role] = header.index(name)
+            feature_idx = [j for j in range(len(header))
+                           if j not in special.values()]
+
+            # label and group cells become first-seen codes of their
+            # stripped text
+            codes = {j: {} for j in special.values()}
+            converters = {
+                j: (lambda s, seen=seen: seen.setdefault(s.strip(), len(seen)))
+                for j, seen in codes.items()}
+            try:
+                A = np.loadtxt(itertools.chain((first_row,), rows),
+                               delimiter=delim, comments=None, quotechar='"',
+                               dtype=float, ndmin=2, converters=converters)
+            except ValueError:      # an undecodable byte is one too
+                A = None
+    except UnicodeDecodeError:      # in the text decoded with the header
+        _read_text(path)            # raises the DataError naming the file
+        raise
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if A is None or A.shape != (n_rows, len(header)):
+        _name_fault(path, delim, header, feature_idx)
+    X = A.take(feature_idx, axis=1)
+    code_cols = {role: A[:, j].astype(int) for role, j in special.items()}
+    del A
 
     feature_names = [header[j] for j in feature_idx]
     dropped: tuple[str, ...] = ()
     if drop_constant:
         varies = X.max(axis=0) > X.min(axis=0)
         dropped = tuple(nm for nm, v in zip(feature_names, varies) if not v)
-        X = np.ascontiguousarray(X[:, varies])
+        X = X.compress(varies, axis=1)
         feature_names = [nm for nm, v in zip(feature_names, varies) if v]
     if X.shape[1] == 0:
         raise DataError(f"{path}: no feature columns remain")
@@ -221,8 +269,7 @@ def ingest_csv(path: str, label_column: str | None = None,
     labels = None
     label_names: tuple[str, ...] = ()
     if "label" in special:
-        j = special["label"]
-        raw = list(codes[j])
+        raw = list(codes[special["label"]])
         try:
             values = [float(s) for s in raw]
         except ValueError:
@@ -234,12 +281,11 @@ def ingest_csv(path: str, label_column: str | None = None,
         label_names = tuple(first_name[k] for k in keys)
         ids = {k: c + 1 for c, k in enumerate(keys)}
         lut = np.array([ids[v] for v in values], dtype=int)
-        labels = lut[A[:, j].astype(int)]
+        labels = lut[code_cols["label"]]
 
     groups = None
     if "group" in special:
-        j = special["group"]
-        groups = np.array(list(codes[j]))[A[:, j].astype(int)]
+        groups = np.array(list(codes[special["group"]]))[code_cols["group"]]
 
     return IngestResult(dataset=Dataset(X, labels),
                         feature_names=tuple(feature_names),
@@ -434,11 +480,16 @@ def _model_predict(model, X):
 # ---------------------------------------------------------------------------
 # Tables
 
-def _write_table(path: str, manifest_id: str, header: list[str],
-                 rows: list[list[str]]):
-    lines = [f"# manifest\t{manifest_id}", "\t".join(header)]
-    lines += ["\t".join(r) for r in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_table(path: str, manifest_id: str, header: list[str], rows):
+    """Write a tab-separated table under its manifest line. ``rows``, an
+    iterable of cell lists, is joined and written :data:`_BLOCK_ROWS`
+    rows at a time, so a lazy ``rows`` is never held whole."""
+    def chunks():
+        yield f"# manifest\t{manifest_id}\n" + "\t".join(header) + "\n"
+        it = iter(rows)
+        while block := list(itertools.islice(it, _BLOCK_ROWS)):
+            yield "".join("\t".join(r) + "\n" for r in block)
+    _atomic_write(path, chunks())
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +552,8 @@ def cmd_predict(args) -> int:
     pred, post = _model_predict(model, ing.dataset.X)
     names = model.label_names
     header = ["label"] + [f"p_{nm}" for nm in names]
-    rows = [[names[lab - 1]] + prow
-            for lab, prow in zip(pred.tolist(), _fmt_rows(post))]
+    rows = ([names[lab - 1]] + prow
+            for lab, prow in zip(pred.tolist(), _fmt_rows(post)))
     _write_table(args.out, manifest.manifest_id, header, rows)
     write_manifest(manifest, args.out + ".manifest")
     print(f"manifest\t{manifest.manifest_id}")
@@ -522,8 +573,8 @@ def cmd_features(args) -> int:
     V = _fit_model(args, ing, opt).projection
     Z = ing.dataset.X @ V
     vcols = [f"v{j + 1}" for j in range(V.shape[1])]
-    rows = [zrow + [ing.label_names[t - 1]]
-            for zrow, t in zip(_fmt_rows(Z), ing.dataset.labels.tolist())]
+    rows = (zrow + [ing.label_names[t - 1]]
+            for zrow, t in zip(_fmt_rows(Z), ing.dataset.labels.tolist()))
     _write_table(args.out, manifest.manifest_id, vcols + ["label"], rows)
     _write_table(args.out + ".projection", manifest.manifest_id,
                  ["feature"] + vcols,
@@ -566,8 +617,8 @@ def cmd_cluster(args) -> int:
                  [[str(c)] for c in labels])
     _write_table(args.out + ".features", manifest.manifest_id,
                  vcols + ["cluster"],
-                 [zrow + [str(c)]
-                  for zrow, c in zip(_fmt_rows(Z), labels.tolist())])
+                 (zrow + [str(c)]
+                  for zrow, c in zip(_fmt_rows(Z), labels.tolist())))
     _write_table(args.out + ".projection", manifest.manifest_id,
                  vcols, _fmt_rows(V))
     _atomic_write(args.out + ".gmm",

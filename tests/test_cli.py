@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import opgd
+from opgd import cli
 from opgd.cli import (
     ingest_csv,
     main,
@@ -602,6 +603,29 @@ class TestDeterminism:
             outputs.append((open(out, "rb").read(),
                             open(out + ".manifest", "rb").read()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["predict", "features"])
+    def test_block_size_does_not_change_tables(self, tmp_path, monkeypatch,
+                                               command):
+        """Tables are formatted and written a block of rows at a time;
+        blocks of 7 rows, with a short last block, give the bytes of one
+        block holding every row."""
+        data = _blob_csv(tmp_path / "d.csv", seed=5)
+        model = str(tmp_path / "m.opgd")
+        assert main(["fit", "--data", data, "--labels", "y", "--dim", "2",
+                     "--out", model]) == 0
+        argv = {"predict": ["--model", model],
+                "features": ["--method", "lda", "--dim", "2"]}[command]
+        tables = []
+        for rows in (7, 10 ** 6):
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+            out = str(tmp_path / f"{command}{rows}.tsv")
+            assert main([command, "--data", data, "--labels", "y",
+                         "--out", out, *argv]) == 0
+            with open(out, "rb") as fh:
+                tables.append(fh.read())
+        assert tables[0].count(b"\n") > 2 + 7
+        assert tables[0] == tables[1]
 
     def test_different_seed_changes_manifest(self, tmp_path):
         data = _blob_csv(tmp_path / "d.csv", seed=9)

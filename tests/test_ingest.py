@@ -3,6 +3,7 @@
 import csv
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def _tables(draw):
                               f'" "{delim}\t'])
     for _ in range(draw(st.integers(0, 3))):
         rows.insert(draw(st.integers(0, len(rows))), draw(blanks))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join([delim.join(names)] + rows)
     if draw(st.booleans()):
         text += eol
@@ -201,6 +202,62 @@ def test_drop_constant_keeps_x_c_contiguous(tmp_path):
     assert ing.dropped_columns == ("c", "d")
     np.testing.assert_array_equal(ing.dataset.X, [[1, 2], [3, 4], [5, 1]])
     assert ing.dataset.X.flags.c_contiguous
+
+
+def _undecodable_at_end(path, rows=12000):
+    """A table of ``rows`` rows (over 64 KB at the default) whose last
+    row holds a byte that is not UTF-8, so it lies past the first chunk
+    the reader decodes."""
+    body = "".join(f"{i},{i % 3 + 1}\n" for i in range(rows))
+    path.write_bytes(b"a,y\n" + body.encode() + b"7,\xff\n")
+    assert path.stat().st_size > 64 * 1024
+    return str(path)
+
+
+def test_undecodable_last_row_of_a_large_table_exits_3(tmp_path, capsys):
+    p = _undecodable_at_end(tmp_path / "bad.csv")
+    rc = main(["fit", "--data", p, "--labels", "y",
+               "--out", str(tmp_path / "m.opgd")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"error: cannot read {p}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.opgd").exists()
+
+
+def test_missing_label_column_is_named_before_rows_are_decoded(tmp_path,
+                                                                capsys):
+    """The header is checked before the data rows past the first
+    decoded chunk are read, so a missing ``--labels`` column is a
+    configuration error even when a later row cannot be decoded."""
+    p = _undecodable_at_end(tmp_path / "bad.csv")
+    rc = main(["fit", "--data", p, "--labels", "label",
+               "--out", str(tmp_path / "m.opgd")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "no column named 'label'" in err
+    assert "Traceback" not in err
+
+
+def test_peak_memory_is_a_small_multiple_of_the_matrix(tmp_path):
+    """The rows are streamed from the file: the reader holds no copy of
+    the text, only the parsed table and its feature columns."""
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((5000, 40))
+    y = rng.integers(1, 4, size=5000)
+    lines = [",".join([f"x{j}" for j in range(40)] + ["y"])]
+    lines += [",".join(map(repr, row)) + f",{lab}"
+              for row, lab in zip(X.tolist(), y.tolist())]
+    p = _write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        ing = ingest_csv(p, label_column="y")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(ing.dataset.X, X)
+    assert peak <= 3.5 * ing.dataset.X.nbytes
 
 
 def test_undecodable_data_exits_3(tmp_path, capsys):
