@@ -558,8 +558,10 @@ def cmd_predict(args) -> int:
     write_manifest(manifest, args.out + ".manifest")
     print(f"manifest\t{manifest.manifest_id}")
     if ing.dataset.labels is not None:
-        truth = [ing.label_names[t - 1] for t in ing.dataset.labels]
-        err = misclassification_error([names[lab - 1] for lab in pred], truth)
+        truth = [ing.label_names[t - 1]
+                 for t in ing.dataset.labels.tolist()]
+        err = misclassification_error(
+            [names[lab - 1] for lab in pred.tolist()], truth)
         print(f"test_error\t{_fmt(err)}")
     return 0
 

@@ -23,10 +23,28 @@ reaches ``em_max_iters`` first stops there with a ``UserWarning``.
 Both EMs work observation-last, like the projected model in
 :mod:`opgd.objective`: log joints, their log-sum-exps and the
 responsibilities are C-contiguous ``(K, n)`` arrays, so numpy's inner
-loops run over the observations, not over the few components. The
-full-space M-step takes the means from one product ``R X`` and each
-scatter from a ``(p, n)`` buffer of responsibility-weighted differences
-times its own transpose.
+loops run over the observations, not over the few components. Each
+iteration costs a few products, and each EM takes the same steps as a
+loop over the components would, to rounding:
+
+- The full-space EM centres ``X`` at its column mean ``c`` once per fit
+  and keeps ``X1 = [X - c, 1]``, and, for each component k, the
+  differences ``X - a_k`` from an anchor ``a_k``. The M-step takes the
+  means and scatters of all K components from one ``(K p, n) x
+  (n, p + 1)`` product of the responsibility-weighted differences with
+  ``X1``, taken in cache-sized row blocks. The E-step feeds ``X1`` to
+  the full-covariance density routine of :mod:`opgd.objective`, which
+  also works in row blocks.
+- The projected EM keeps, for each component k, ``F_k = [(Z - a_k)^2;
+  Z - a_k; 1]`` about an anchor ``a_k``. Each E-step is one batched
+  product of per-component coefficients with ``F``, and each M-step
+  takes the mass and moments of every component from one batched
+  product of ``F`` with the responsibilities.
+
+In both, an anchor moves to its component's mean whenever the mean has
+drifted more than one standard deviation from it, so the moments are
+taken about a point near each component's mean, never about a far-off
+centre, and no variance is the small difference of two large sums.
 """
 
 from __future__ import annotations
@@ -42,9 +60,10 @@ from .core import ConfigError, DataError, Dataset, _readonly, \
     symmetrize, variance_floors
 # ``log_densities`` is imported only for perfbench's tracer, which wraps it
 # here.
-from .objective import GradientWorkspace, build_workspace, \
-    cholesky_factors, classification_log_likelihood, component_logsumexp, \
-    diag_log_densities, full_gaussian_log_densities, grad_objective, \
+from .objective import _BLOCK_ENTRIES, LOG_2PI, GradientWorkspace, \
+    _augment, _shifted_log_densities, build_workspace, cholesky_factors, \
+    classification_log_likelihood, component_logsumexp, \
+    full_gaussian_log_densities, grad_objective, \
     grad_weighted_log_densities, log_densities, \
     projected_variances  # noqa: F401
 from .optimizer import OptimConfig, ascend, init_projection
@@ -223,27 +242,44 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     R = np.zeros((K, n))
     R[assign, np.arange(n)] = 1.0
 
+    # X1 = [X - c, 1] about the data mean c, formed once, feeds every
+    # E-step; D[k] = (X - a_k)' about the anchor a_k (see the module
+    # docstring) feeds every M-step
+    center = X.mean(axis=0)
+    X1 = _augment(X, center)
+    D = np.empty((K, p, n))
+    anchors = np.empty((K, p))
+    stale = np.ones(K, dtype=bool)
+    rows = max(1, _BLOCK_ENTRIES // (K * p))
+    block = np.empty((K, p, rows))
     eye = np.eye(p)
-    XT = np.ascontiguousarray(X.T)
-    buf = np.empty_like(XT)
-    means = np.empty((K, p))
-    covs = np.zeros((K, p, p))
     trace = []
     ll_per_point = None
     for _ in range(config.em_max_iters + 1):
-        # M-step: all means from one product, each scatter from one
-        # weighted-difference buffer, one Cholesky to test the floors
+        # M-step: M_k = sum_i r_ki (x_i - a_k) [x_i - c, 1] for all k
+        # from one (K p, n) x (n, p + 1) product, taken in cache-sized
+        # row blocks; one Cholesky to test the floors
         mass = R.sum(axis=1)
         dead = mass < 1e-10
         live = np.flatnonzero(~dead)
-        np.divide(R @ X, np.where(dead, 1.0, mass)[:, None], out=means)
-        root = np.sqrt(R)
-        for k in live:
-            np.subtract(XT, means[k, :, None], out=buf)
-            buf *= root[k]
-            np.matmul(buf, buf.T, out=covs[k])
-            covs[k] /= mass[k]
-        covs = symmetrize(covs)
+        divisor = np.where(dead, 1.0, mass)[:, None]
+        if stale.any():
+            anchors[stale] = R[stale] @ X1[:, :p] / divisor[stale]
+            D[stale] = X1[:, :p].T - anchors[stale, :, None]
+        moments = np.zeros((K * p, p + 1))
+        for lo in range(0, n, rows):
+            W = block[:, :, :min(rows, n - lo)]
+            np.multiply(D[:, :, lo:lo + rows], R[:, None, lo:lo + rows],
+                        out=W)
+            moments += W.reshape(K * p, -1) @ X1[lo:lo + rows]
+        moments = moments.reshape(K, p, p + 1) / divisor[:, :, None]
+        # M_k / m_k = [S_k + d_k (mu_k - c)', d_k] for the shift
+        # d_k = mu_k - a_k of each mean from its anchor
+        shift = moments[:, :, p]
+        means = anchors + shift
+        covs = symmetrize(moments[:, :, :p]
+                          - shift[:, :, None] * means[:, None, :])
+        stale = (shift * shift > np.einsum("kii->ki", covs)).any(axis=1)
         floors = config.cov_floor * np.maximum(
             np.einsum("kii->k", covs), 1e-6 * data_cov_trace) / p
         _, above = cholesky_factors(covs[live]
@@ -257,15 +293,16 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
                           "responsibility mass; re-seeding")
             worst = int(np.argmin(ll_per_point)) \
                 if ll_per_point is not None else int(rng.integers(n))
-            means[k] = X[worst]
+            means[k] = X1[worst, :p]
+            stale[k] = True
             covs[k] = _floor_covariance(
                 np.diag(np.full(p, max(data_cov_trace / p, 1e-12))),
                 config.cov_floor * max(data_cov_trace, 1e-12) / p)
             weights[k] = 1.0 / n
         weights = weights / weights.sum()
-        # E-step on (K, n) arrays
-        joint = np.log(weights)[:, None] + \
-            full_gaussian_log_densities(X, means, covs).T
+        # E-step on (K, n) arrays, in row blocks of X1
+        joint = _shifted_log_densities(X1, means, covs)
+        joint += np.log(weights)[:, None]
         ll_per_point = component_logsumexp(joint)
         ll = float(ll_per_point.sum())
         trace.append(ll)
@@ -275,6 +312,7 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     else:
         warnings.warn(f"full-space EM stopped at its cap of "
                       f"{config.em_max_iters} iterations before converging")
+    means += center
     model = GmmModel(weights=weights, means=means, covariances=covs)
     if return_trace:
         return model, np.asarray(trace)
@@ -408,14 +446,33 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
     pass is an E-step: the returned ``n x K`` responsibilities are those
     of the returned mixture.
     """
-    n = Z.shape[0]
+    K, (n, d) = len(weights), Z.shape
     ZT = np.ascontiguousarray(Z.T)
     floor = config.cov_floor * max(float(np.var(Z, axis=0).mean()), 1e-12)
     variances = np.maximum(variances, floor)
+    # F[k] = [(Z - a_k)^2; Z - a_k; 1]' about the anchor a_k (see the
+    # module docstring): component k's log joint is linear in its rows,
+    # and R[k] F[k]' holds its mass and moments about a_k
+    F = np.empty((K, 2 * d + 1, n))
+    F[:, 2 * d] = 1.0
+    anchors = np.empty_like(means)
+    stale = np.ones(K, dtype=bool)
+    coef = np.empty((K, 1, 2 * d + 1))
     trace = []
     for it in range(config.em_max_iters + 1):
-        joint = np.log(weights)[:, None] + \
-            diag_log_densities(ZT[None] - means[:, :, None], variances)
+        for k in np.flatnonzero(stale):
+            anchors[k] = means[k]
+            np.subtract(ZT, means[k, :, None], out=F[k, d:2 * d])
+            np.multiply(F[k, d:2 * d], F[k, d:2 * d], out=F[k, :d])
+        # E-step: every log joint from one batched product
+        offset = means - anchors
+        prec = 1.0 / variances
+        coef[:, 0, :d] = -0.5 * prec
+        coef[:, 0, d:2 * d] = offset * prec
+        coef[:, 0, 2 * d] = np.log(weights) - 0.5 * (
+            d * LOG_2PI
+            + (np.log(variances) + offset * offset * prec).sum(axis=1))
+        joint = (coef @ F)[:, 0, :]
         ll_per_point = component_logsumexp(joint)
         ll = float(ll_per_point.sum())
         trace.append(ll)
@@ -426,14 +483,14 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
             warnings.warn(f"projected EM stopped at its cap of "
                           f"{config.em_max_iters} iterations before converging")
             break
-        # M-step on (K, d, n) differences
-        mass = R.sum(axis=1)
+        # M-step: mass and moments about the anchors from one product
+        sums = (F @ R[:, :, None])[:, :, 0]
+        mass = sums[:, 2 * d]
         dead = mass < 1e-10
         divisor = np.where(dead, 1.0, mass)[:, None]
-        means = R @ Z / divisor
-        D = ZT[None] - means[:, :, None]
-        D *= D
-        variances = np.maximum((D @ R[:, :, None])[:, :, 0] / divisor, floor)
+        shift = sums[:, d:2 * d] / divisor
+        means = anchors + shift
+        variances = np.maximum(sums[:, :d] / divisor - shift * shift, floor)
         weights = mass / n
         for k in np.flatnonzero(dead):
             warnings.warn(f"projected component {k + 1} lost all "
@@ -442,6 +499,7 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
             variances[k] = np.maximum(np.var(Z, axis=0), floor)
             weights[k] = 1.0 / n
         weights = weights / weights.sum()
+        stale = ((means - anchors) ** 2 > variances).any(axis=1)
     return weights, means, variances, R.T, np.asarray(trace)
 
 

@@ -51,21 +51,25 @@ hard assignments minus the posteriors, in one call each. It also needs
 ``Sigma_k V``, which the workspace keeps from the projected variances.
 
 :func:`diag_log_densities` is the package's one diagonal Gaussian
-log-density routine and :func:`full_gaussian_log_densities` its one
-full-covariance routine; the classifier and the mixture code call them
-too. The full-covariance quadratic ``(z - mu_k)' Sigma_k^{-1}
-(z - mu_k)`` is ``||(Z - mu_k) L_k^{-T}||^2`` row by row for the
-Cholesky factor ``L_k``. All K factors come from one batched Cholesky
+log-density routine on differences and
+:func:`full_gaussian_log_densities` its one full-covariance routine; the
+classifier calls both, and the mixture code the full-covariance one
+(the projected EM of :mod:`opgd.clustering` scores its diagonal
+components from their sufficient statistics). The full-covariance
+quadratic ``(z - mu_k)' Sigma_k^{-1} (z - mu_k)`` is
+``||(Z - mu_k) L_k^{-T}||^2`` row by row for the Cholesky factor
+``L_k``. All K factors come from one batched Cholesky
 and one batched inverse, and all K quadratics from one matrix product
 of ``[Z - c, 1]`` against the stacked ``L_k^{-T}``, with the shifted
 means ``-(mu_k - c)' L_k^{-T}`` in the extra row; the shift ``c`` is the
-mean of the component means. The product is taken in blocks of rows,
-and each block's squared norms go into the columns of a C-contiguous
-``(K, n)`` array: the full-covariance densities are observation-last
-too, and the mixture EM, the responsibilities and the baseline
-predictors read the ``(K, n)`` transpose of the public ``n x K`` result
-without a copy. Only numpy's LAPACK is used, so the package runs on one
-BLAS thread pool.
+mean of the component means, or, in the mixture EM, the data mean, for
+which the EM forms ``[Z - c, 1]`` once per fit. The product is taken in
+cache-sized blocks of rows, and each block's squared norms go into the
+columns of a C-contiguous ``(K, n)`` array: the full-covariance
+densities are observation-last too, and the mixture EM, the
+responsibilities and the baseline predictors read the ``(K, n)``
+transpose of the public ``n x K`` result without a copy. Only numpy's
+LAPACK is used, so the package runs on one BLAS thread pool.
 
 Every log-sum-exp in the package goes through
 :func:`component_logsumexp`, which reduces a ``(K, n)`` array over its
@@ -90,8 +94,9 @@ from .core import Dataset, GaussianClassModel, NumericalError, \
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Rows of the full-covariance product are taken in blocks of at most this
-# many entries (8 MB), so its ``n x K d`` result stays bounded.
-_BLOCK_ENTRIES = 1 << 20
+# many entries (256 KiB), so each block's ``rows x K d`` result stays in
+# a core's cache; the full-space EM's M-step blocks its product alike.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -192,13 +197,40 @@ def full_gaussian_log_densities(Z, means, covariances):
 
     The quadratic is ``||(Z - mu_k) L^{-T}||^2`` for the lower factor
     ``L`` of ``Sigma_k``, for all components in one matrix product (see
-    the module docstring). Like :func:`log_densities`, the result is the
-    transpose of a C-contiguous ``(K, n)`` array. A covariance that
-    fails to factor gets a ridge of 1e-8 * trace/d on the diagonal, with
-    a warning; one that still fails (indefinite) raises ``LinAlgError``.
-    A covariance with a non-finite entry raises ``NumericalError``.
+    the module docstring); the shift ``c`` is the mean of the component
+    means. Like :func:`log_densities`, the result is the transpose of a
+    C-contiguous ``(K, n)`` array. A covariance that fails to factor
+    gets a ridge of 1e-8 * trace/d on the diagonal, with a warning; one
+    that still fails (indefinite) raises ``LinAlgError``. A covariance
+    with a non-finite entry raises ``NumericalError``.
     """
+    Z = np.asarray(Z, dtype=float)
+    means = np.asarray(means, dtype=float)
+    center = means.mean(axis=0)
+    return _shifted_log_densities(_augment(Z, center), means - center,
+                                 covariances).T
+
+
+def _augment(Z, center):
+    """``[Z - center, 1]``, the ``n x (d + 1)`` input of
+    :func:`_shifted_log_densities`."""
     n, d = Z.shape
+    Z1 = np.empty((n, d + 1))
+    np.subtract(Z, center, out=Z1[:, :d])
+    Z1[:, d] = 1.0
+    return Z1
+
+
+def _shifted_log_densities(Z1, means, covariances):
+    """C-contiguous ``(K, n)`` full-covariance Gaussian log-densities of
+    the rows of ``Z1 = _augment(Z, c)`` for the components with means
+    ``c + means[k]`` and the given covariances.
+
+    The computation behind :func:`full_gaussian_log_densities`, for a
+    caller that keeps ``Z1`` across many evaluations (the mixture EM);
+    the faults are the same.
+    """
+    n, d = Z1.shape[0], Z1.shape[1] - 1
     K = means.shape[0]
     S = symmetrize(np.asarray(covariances, dtype=float))
     bad = ~np.isfinite(S).all(axis=(1, 2))
@@ -213,13 +245,9 @@ def full_gaussian_log_densities(Z, means, covariances):
                       f"{ridge:.3e} to keep the discriminant defined")
         L[k] = np.linalg.cholesky(S[k] + ridge * np.eye(d))
     inv_t = np.linalg.inv(L).transpose(0, 2, 1)            # L_k^{-T}
-    center = means.mean(axis=0)
-    Z1 = np.empty((n, d + 1))
-    np.subtract(Z, center, out=Z1[:, :d])
-    Z1[:, d] = 1.0
     W = np.empty((d + 1, K, d))
     W[:d] = inv_t.transpose(1, 0, 2)
-    W[d] = -np.einsum("kj,kjl->kl", means - center, inv_t)
+    W[d] = -np.einsum("kj,kjl->kl", means, inv_t)
     W = W.reshape(d + 1, K * d)
     quad = np.empty((K, n))
     rows = max(1, _BLOCK_ENTRIES // (K * d))
@@ -229,7 +257,7 @@ def full_gaussian_log_densities(Z, means, covariances):
     logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
     quad += (d * LOG_2PI + logdet)[:, None]
     quad *= -0.5
-    return quad.T
+    return quad
 
 
 def log_densities(X, V, means, covariances, clamp: ClampStats | None = None):

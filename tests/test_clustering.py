@@ -38,6 +38,28 @@ def _three_blobs(seed=0, n_per=80, delta=5.0, p_extra=0):
     return X, y
 
 
+def _far_blobs(seed=13):
+    """Three unit-sd blobs, two of them overlapping, each at least 1e3
+    from the data mean: moments about the data mean would lose about six
+    digits to cancellation."""
+    X, y = _three_blobs(seed, n_per=100, delta=3.0, p_extra=2)
+    X[:200, 0] += 1e3
+    X[200:, 0] -= 2e3
+    X[200:, 1] -= 3.0
+    return X, y
+
+
+def _pentagon_draw(seed, n=3000):
+    """Five overlapping clusters on a pentagon under 18 noise columns of
+    sd 6: the shape of the benchmark's cluster workload."""
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * np.pi * np.arange(5) / 5
+    centers = 8.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    y = rng.integers(0, 5, n)
+    return np.hstack([centers[y] + 4.0 * rng.standard_normal((n, 2)),
+                      6.0 * rng.standard_normal((n, 18))])
+
+
 def _random_gmm(rng, K, p):
     means = rng.normal(scale=3.0, size=(K, p))
     covs = np.empty((K, p, p))
@@ -292,6 +314,47 @@ class TestFitGmmEm:
             X, 4, ClusterConfig(seed=5, em_tol=1e-10))
         assert 2 < iters < 301 and not floored
 
+    def test_blobs_far_from_the_data_mean_match_reference(self):
+        """Each component's scatter is taken about its own mean: moments
+        about the data mean put covariances 5e-9 off here, outside
+        rtol 1e-8."""
+        X, _ = _far_blobs()
+        config = ClusterConfig(seed=13, em_tol=1e-10)
+        gmm, trace = fit_gmm_em(X, 3, config, return_trace=True)
+        ref, ref_trace, floored = _reference_em(X, 3, config)
+        assert 2 < len(trace) == len(ref_trace) < 301 and not floored
+        np.testing.assert_allclose(gmm.covariances, ref.covariances,
+                                   rtol=1e-8)
+
+    def test_anchor_follows_a_drifting_mean(self):
+        """A tight cluster (sd 0.01) inside a broad one, both 1e3 from
+        the data mean: the tight component's mean drifts many of its
+        standard deviations from where k-means put it. Its scatter
+        stays within rtol 1e-10 of the loop's (4.6e-12 here); about an
+        anchor left at the first M-step's means it was 3.7e-9 off."""
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.standard_normal((100, 2)) * 0.01 + [1e3, 0.0],
+                       rng.standard_normal((200, 2)) * 5.0 + [1e3, 0.0],
+                       rng.standard_normal((150, 2)) + [-2e3, 0.0]])
+        config = ClusterConfig(seed=0, em_tol=1e-10)
+        gmm, trace = fit_gmm_em(X, 3, config, return_trace=True)
+        ref, ref_trace, _ = _reference_em(X, 3, config)
+        assert len(trace) == len(ref_trace)
+        np.testing.assert_allclose(gmm.covariances, ref.covariances,
+                                   rtol=1e-10)
+
+    def test_workload_shape_matches_reference(self):
+        """On the benchmark's cluster workload shape at the default
+        ``em_tol``: the same E-step count and trace as the per-component
+        loop, and the trace the docstring promises."""
+        X = _pentagon_draw(7)
+        config = ClusterConfig(seed=7)
+        _, trace = fit_gmm_em(X, 5, config, return_trace=True)
+        _, ref_trace, _ = _reference_em(X, 5, config)
+        assert len(trace) == len(ref_trace) < config.em_max_iters
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-12)
+        assert np.all(np.diff(trace) >= -1e-8)
+
     def test_component_below_floor_is_clamped_like_floor_covariance(self):
         """A blob flat in one coordinate has its scatter eigenvalue clamped
         at the floor, exactly as ``_floor_covariance`` clamps it."""
@@ -394,15 +457,8 @@ class TestClusterObjective:
 class TestKmeans:
     @pytest.mark.parametrize("seed", range(7, 20))
     def test_partitions_match_explicit_differences(self, seed):
-        """Five overlapping clusters on a pentagon under 18 noise columns
-        of sd 6, 3,000 points: the shape of the benchmark's cluster
-        workload."""
-        rng = np.random.default_rng(seed)
-        angles = 2.0 * np.pi * np.arange(5) / 5
-        centers = 8.0 * np.column_stack([np.cos(angles), np.sin(angles)])
-        y = rng.integers(0, 5, 3000)
-        X = np.hstack([centers[y] + 4.0 * rng.standard_normal((3000, 2)),
-                       6.0 * rng.standard_normal((3000, 18))])
+        """On 3,000 points of the benchmark's cluster workload shape."""
+        X = _pentagon_draw(seed)
         np.testing.assert_array_equal(
             _kmeans(X, 5, np.random.default_rng(0)),
             _reference_kmeans(X, 5, np.random.default_rng(0)))
@@ -424,6 +480,45 @@ class TestDiagEm:
         assert 2 < len(got[4]) == len(want[4]) < 301
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("start_means", [
+        [[1e3 + 0.5, -0.5], [1e3, 2.5], [-2e3, 0.3]],
+        [[900.0, 0.0], [1100.0, 3.0], [-1900.0, 0.0]]])
+    def test_far_from_the_data_mean_matches_per_component_loop(
+            self, start_means):
+        """Statistics about each component's anchor near its mean, not
+        about the data mean: from the first start, an expansion about the
+        data mean stopped after 135 E-steps, against the loop's 140; from
+        the second, 100 sd from every mean, anchors left at the start
+        stopped after 119 against 118."""
+        X, _ = _far_blobs()
+        start = (np.full(3, 1.0 / 3.0), np.array(start_means),
+                 np.ones((3, 2)))
+        config = ClusterConfig(em_tol=1e-10)
+        got = _diag_em(X[:, :2], *(a.copy() for a in start), config)
+        want = _reference_diag_em(X[:, :2], *(a.copy() for a in start),
+                                  config)
+        assert 2 < len(got[4]) == len(want[4]) < 301
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-8)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12)
+
+    def test_workload_shape_matches_reference(self):
+        """On the benchmark's cluster workload shape projected onto the
+        pentagon's plane, warm-started from the full-space fit as
+        ``enhance_gmm`` does: the loop's E-step count (212, under the
+        cap) and labels."""
+        X = _pentagon_draw(7)
+        config = ClusterConfig(seed=7)
+        gmm = fit_gmm_em(X, 5, config)
+        start = (gmm.weights, gmm.means[:, :2],
+                 np.stack([np.diag(S)[:2] for S in gmm.covariances]))
+        got = _diag_em(X[:, :2], *(a.copy() for a in start), config)
+        want = _reference_diag_em(X[:, :2], *(a.copy() for a in start),
+                                  config)
+        assert len(got[4]) == len(want[4]) < config.em_max_iters
+        np.testing.assert_array_equal(np.argmax(got[3], axis=1),
+                                      np.argmax(want[3], axis=1))
 
     def test_cap_warns(self):
         X, start = self._start()

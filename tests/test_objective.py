@@ -7,6 +7,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from opgd import objective
 from opgd.clustering import GmmModel, grad_cluster_objective
 from opgd.core import Dataset, NumericalError, estimate_class_model
 from opgd.objective import (
@@ -180,14 +181,27 @@ class TestFullGaussianLogDensities:
                                    self._reference(Z, means, covs), rtol=1e-10)
 
     def test_row_blocks_agree_with_one_block(self, monkeypatch):
+        """Blocks of 60 entries (5 rows), and the default cache-sized
+        block on the cluster workload's 3,000 x 20 shape with K = 5,
+        give what one block gives."""
         rng = np.random.default_rng(5)
         Z = rng.standard_normal((23, 4))
         means = rng.standard_normal((3, 4))
         covs = np.stack([self._spd(rng, 4) for _ in range(3)])
         whole = full_gaussian_log_densities(Z, means, covs)
-        monkeypatch.setattr("opgd.objective._BLOCK_ENTRIES", 5 * 12)
-        np.testing.assert_array_equal(
-            full_gaussian_log_densities(Z, means, covs), whole)
+        with monkeypatch.context() as m:
+            m.setattr("opgd.objective._BLOCK_ENTRIES", 5 * 12)
+            np.testing.assert_array_equal(
+                full_gaussian_log_densities(Z, means, covs), whole)
+
+        Z = rng.standard_normal((3000, 20)) * 6.0
+        means = rng.standard_normal((5, 20)) * 8.0
+        covs = np.stack([self._spd(rng, 20) for _ in range(5)])
+        assert 3 * objective._BLOCK_ENTRIES <= Z.size * 5
+        blocked = full_gaussian_log_densities(Z, means, covs)
+        monkeypatch.setattr("opgd.objective._BLOCK_ENTRIES", Z.size * 5)
+        np.testing.assert_allclose(
+            blocked, full_gaussian_log_densities(Z, means, covs), rtol=1e-12)
 
     def test_observation_axis_is_last_and_contiguous(self):
         rng = np.random.default_rng(6)
