@@ -173,7 +173,9 @@ def _name_fault(path: str, delim: str, header: list[str],
 
 def ingest_csv(path: str, label_column: str | None = None,
                perturb_sd: float = 0.0, drop_constant: bool = False,
-               seed: int = 0, group_column: str | None = None) -> IngestResult:
+               seed: int = 0, group_column: str | None = None,
+               feature_columns: tuple[str, ...] | None = None
+               ) -> IngestResult:
     """Load a delimited numeric table with a header row.
 
     The text is UTF-8 with ``"`` quoting and no field spanning lines;
@@ -187,10 +189,13 @@ def ingest_csv(path: str, label_column: str | None = None,
 
     The label column (when named) is mapped to contiguous class ids
     1..K, numerically when every value parses as a number, otherwise
-    lexically; original names are kept. Constant feature columns are
-    dropped when requested, then an optional i.i.d. Gaussian
-    perturbation with per-column sd ``perturb_sd * column_sd`` is
-    applied using ``seed``. Faults name the file line number: a table
+    lexically; original names are kept. The feature columns are the
+    others or, when ``feature_columns`` names them, those columns in
+    that order, matched by name: a missing one is a ``DataError`` naming
+    it, and the columns left over are not parsed. Constant feature
+    columns are dropped when requested, then an optional i.i.d.
+    Gaussian perturbation with per-column sd ``perturb_sd * column_sd``
+    is applied using ``seed``. Faults name the file line number: a table
     the reader rejects is read again to find the row at fault.
     """
     if not (np.isfinite(perturb_sd) and perturb_sd >= 0):
@@ -227,15 +232,24 @@ def ingest_csv(path: str, label_column: str | None = None,
                     raise ConfigError(f"{path}: no column named {name!r} "
                                       f"(columns: {', '.join(header)})")
                 special[role] = header.index(name)
-            feature_idx = [j for j in range(len(header))
-                           if j not in special.values()]
+            if feature_columns is None:
+                feature_idx = [j for j in range(len(header))
+                               if j not in special.values()]
+            else:
+                for name in feature_columns:
+                    if name not in header:
+                        raise DataError(f"{path}: no column named {name!r} "
+                                        f"(columns: {', '.join(header)})")
+                feature_idx = [header.index(nm) for nm in feature_columns]
 
             # label and group cells become first-seen codes of their
-            # stripped text
+            # stripped text; cells of unused columns are not parsed
             codes = {j: {} for j in special.values()}
-            converters = {
+            unused = set(range(len(header))) - set(feature_idx)
+            converters = {j: (lambda s: 0.0) for j in unused}
+            converters.update({
                 j: (lambda s, seen=seen: seen.setdefault(s.strip(), len(seen)))
-                for j, seen in codes.items()}
+                for j, seen in codes.items()})
             try:
                 A = np.loadtxt(itertools.chain((first_row,), rows),
                                delimiter=delim, comments=None, quotechar='"',
@@ -492,6 +506,15 @@ def _write_table(path: str, manifest_id: str, header: list[str], rows):
     _atomic_write(path, chunks())
 
 
+def _write_projection(path: str, manifest_id: str, feature_names, V):
+    """The ``.projection`` sidecar: a ``feature`` column naming each
+    input column, then that column's row of ``V``."""
+    _write_table(path, manifest_id,
+                 ["feature"] + [f"v{j + 1}" for j in range(V.shape[1])],
+                 ([name] + vrow
+                  for name, vrow in zip(feature_names, _fmt_rows(V))))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -578,10 +601,8 @@ def cmd_features(args) -> int:
     rows = (zrow + [ing.label_names[t - 1]]
             for zrow, t in zip(_fmt_rows(Z), ing.dataset.labels.tolist()))
     _write_table(args.out, manifest.manifest_id, vcols + ["label"], rows)
-    _write_table(args.out + ".projection", manifest.manifest_id,
-                 ["feature"] + vcols,
-                 [[name] + vrow
-                  for name, vrow in zip(ing.feature_names, _fmt_rows(V))])
+    _write_projection(args.out + ".projection", manifest.manifest_id,
+                      ing.feature_names, V)
     write_manifest(manifest, args.out + ".manifest")
     print(f"manifest\t{manifest.manifest_id}")
     return 0
@@ -602,9 +623,9 @@ def cmd_cluster(args) -> int:
         "cluster", args.data, args.seed, clusters=args.clusters, dim=args.dim,
         lam=args.lam, pca_threshold=args.pca_threshold,
         init_gmm=args.init_gmm, **params)
-    X = ing.dataset.X
+    X, basis = ing.dataset.X, None
     if args.pca_threshold is not None:
-        X, _basis = pca_prefilter(X, args.pca_threshold)
+        X, basis = pca_prefilter(X, args.pca_threshold)
     cc = ClusterConfig(lam=args.lam, seed=args.seed)
     if gmm is None:
         gmm = fit_gmm_em(X, args.clusters, cc)
@@ -621,8 +642,8 @@ def cmd_cluster(args) -> int:
                  vcols + ["cluster"],
                  (zrow + [str(c)]
                   for zrow, c in zip(_fmt_rows(Z), labels.tolist())))
-    _write_table(args.out + ".projection", manifest.manifest_id,
-                 vcols, _fmt_rows(V))
+    _write_projection(args.out + ".projection", manifest.manifest_id,
+                      ing.feature_names, V if basis is None else basis @ V)
     _atomic_write(args.out + ".gmm",
                   serialize_model(gmm, manifest.manifest_id))
     metric_rows = []
@@ -644,12 +665,10 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _parse_grid(text: str, method: str):
+def _parse_grid(text: str):
     try:
         vals = [float(v) for v in text.split(",") if v.strip()]
-        if method != "rda":
-            vals = [int(v) for v in vals]
-    except (ValueError, OverflowError):
+    except ValueError:
         raise ConfigError(f"--grid must be a comma list of numbers, "
                           f"got {text!r}") from None
     if not vals:
@@ -658,6 +677,9 @@ def _parse_grid(text: str, method: str):
 
 
 def cmd_evaluate(args) -> int:
+    for flag, value in (("--test", args.test), ("--group", args.group)):
+        if value is not None and args.folds is None:
+            raise ConfigError(f"{flag} needs --folds")
     opt, ing, params = _ingest(args, group_column=args.group)
     if ing.dataset.labels is None:
         raise ConfigError("evaluate requires --labels")
@@ -673,8 +695,8 @@ def cmd_evaluate(args) -> int:
                           seed=args.seed)
         if args.test:
             test_ing = ingest_csv(args.test, label_column=args.labels,
-                                  perturb_sd=args.perturb,
-                                  drop_constant=False, seed=args.seed)
+                                  perturb_sd=args.perturb, seed=args.seed,
+                                  feature_columns=ing.feature_names)
             if test_ing.label_names != ing.label_names:
                 raise DataError("train and test label sets differ")
             test_X, test_labels = test_ing.dataset.X, test_ing.dataset.labels
@@ -688,7 +710,7 @@ def cmd_evaluate(args) -> int:
     model = estimate_class_model(train)
     rows = []
     for method in methods:
-        grid = _parse_grid(args.grid, method) if args.grid \
+        grid = _parse_grid(args.grid) if args.grid \
             else default_grid(method, train.p, model.K)
         result = grid_search(method, grid, train, plan, opt_config=opt)
         chosen = [e for h, e in result.val_errors if h == result.best_hyper][0]
@@ -820,15 +842,18 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--method", default="opgd",
                     help="comma list from opgd,lda,rda,save")
     ev.add_argument("--grid", default=None,
-                    help="comma list of hyper-parameter values")
+                    help="comma list of hyper-parameter values (integer "
+                         "dimensions, or rda blends)")
     ev.add_argument("--folds", type=int, default=None,
                     help="cross-validation fold count")
     ev.add_argument("--split", default="0.5,0.25,0.25",
                     help="train,val,test ratios when not using --folds")
     ev.add_argument("--group", default=None,
-                    help="column whose groups must not span folds")
+                    help="column whose groups must not span folds (needs "
+                         "--folds)")
     ev.add_argument("--test", default=None,
-                    help="separate test data file (with --folds)")
+                    help="separate test data file, its columns matched by "
+                         "name (needs --folds)")
     ev.add_argument("--out", required=True, help="results table")
     ev.set_defaults(func=cmd_evaluate)
 

@@ -177,13 +177,13 @@ def make_folds(n: int, k: int, grouping=None, seed: int = 0) -> FoldPlan:
 def _fit_method(method: str, train: Dataset, hyper,
                 opt_config: OptimConfig | None, V0=None):
     if method == "opgd":
-        return fit_opgd(train, int(hyper), opt_config, V0=V0)
+        return fit_opgd(train, hyper, opt_config, V0=V0)
     if method == "lda":
-        return lda_fit(train, int(hyper))
+        return lda_fit(train, hyper)
     if method == "rda":
-        return rda_fit(train, float(hyper))
+        return rda_fit(train, hyper)
     if method == "save":
-        return save_fit(train, int(hyper))
+        return save_fit(train, hyper)
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -225,57 +225,58 @@ def grid_search(method: str, grid, train: Dataset, plan,
 
     ``plan`` is a :class:`SplitPlan` (fit on its train part, score on
     its validation part, refit on both; the plan's test part is never
-    touched here) or a :class:`FoldPlan` (pooled k-fold error, refit on
-    everything). Ties go to the smallest hyper-parameter. Grid points
-    whose fit raises are recorded and skipped; only a fully failed grid
-    raises. For the projection classifier in split mode, the refit is
-    warm-started from the winning validation model's projection.
+    touched here) or a :class:`FoldPlan` (fit without each fold, score
+    on it, refit on everything). Ties go to the smallest hyper-parameter;
+    dimensions are integers (``2.0`` is one), ``rda``'s blends floats.
+    Grid points whose fit raises are recorded and skipped; only a fully
+    failed grid raises. On a split, the ``opgd`` refit is warm-started
+    from the winning validation model's projection.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    grid = sorted(grid)
+    grid = sorted(float(h) for h in grid)
+    if method != "rda":
+        for h in grid:
+            if not h.is_integer():
+                raise ConfigError(f"{method} takes integer dimensions, got "
+                                  f"grid value {h!r}")
+        grid = [int(h) for h in grid]
     if not grid:
         raise ConfigError("empty hyper-parameter grid")
+    if isinstance(plan, SplitPlan):
+        pairs = [(plan.train, plan.val)]
+        refit = _subset(train, np.concatenate([plan.train, plan.val]))
+    else:
+        pairs = [plan.fold_indices(fold) for fold in range(plan.k)]
+        refit = train
 
     val_errors = []
     failures = []
-    cached_models = {}
+    projections = {}
     for h in grid:
+        wrong = n_scored = 0
         try:
-            if isinstance(plan, SplitPlan):
-                fit = _fit_method(method, _subset(train, plan.train), h,
+            for fit_rows, score_rows in pairs:
+                fit = _fit_method(method, _subset(train, fit_rows), h,
                                   opt_config)
-                pred = _predict_method(method, fit, train.X[plan.val])
-                err = misclassification_error(pred, train.labels[plan.val])
-                cached_models[h] = fit
-            else:
-                wrong = 0
-                for fold in range(plan.k):
-                    rest, held = plan.fold_indices(fold)
-                    fit = _fit_method(method, _subset(train, rest), h,
-                                      opt_config)
-                    pred = _predict_method(method, fit, train.X[held])
-                    wrong += int(np.sum(pred != train.labels[held]))
-                err = wrong / train.n
+                pred = _predict_method(method, fit, train.X[score_rows])
+                wrong += int(np.sum(pred != train.labels[score_rows]))
+                n_scored += len(score_rows)
         except (DataError, ConfigError, np.linalg.LinAlgError) as exc:
             failures.append((h, str(exc)))
             val_errors.append((h, None))
             continue
-        val_errors.append((h, err))
+        if method == "opgd" and len(pairs) == 1:
+            projections[h] = fit.projection
+        val_errors.append((h, wrong / n_scored))
 
     scored = [(h, e) for h, e in val_errors if e is not None]
     if not scored:
         raise ConfigError("every grid point failed: " +
                           "; ".join(f"{h}: {m}" for h, m in failures))
     best_hyper = min(scored, key=lambda he: (he[1], he[0]))[0]
-
-    if isinstance(plan, SplitPlan):
-        refit_idx = np.concatenate([plan.train, plan.val])
-        V0 = cached_models[best_hyper].projection if method == "opgd" else None
-        model = _fit_method(method, _subset(train, refit_idx), best_hyper,
-                            opt_config, V0=V0)
-    else:
-        model = _fit_method(method, train, best_hyper, opt_config)
+    model = _fit_method(method, refit, best_hyper, opt_config,
+                        V0=projections.get(best_hyper))
     return GridSearchResult(method=method, best_hyper=best_hyper, model=model,
                             val_errors=tuple(val_errors),
                             failures=tuple(failures))

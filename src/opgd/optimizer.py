@@ -138,6 +138,7 @@ def _fallback_projection(scatter: ScatterMatrices, dim: int,
     V, evals = discriminant_directions(scatter, dim, config.ridge_frac)
     informative = int(np.sum(evals > max(evals[0], 0.0) * 1e-9 + 1e-300))
     cols = [V[:, j] for j in range(min(informative, dim))]
+    rng = np.random.default_rng(config.seed)
     while len(cols) < dim:
         if cols:
             Q = np.linalg.qr(np.column_stack(cols))[0]
@@ -149,8 +150,8 @@ def _fallback_projection(scatter: ScatterMatrices, dim: int,
         if w[-1] > 1e-12 * max(np.trace(scatter.total), 1.0):
             cols.append(U[:, -1])
         else:
-            # fully degenerate scatter: seeded random direction
-            rng = np.random.default_rng(config.seed)
+            # fully degenerate scatter: seeded random direction, a new
+            # draw for each column
             v = rng.standard_normal(p)
             if cols:
                 v -= Q @ (Q.T @ v)

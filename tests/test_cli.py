@@ -332,6 +332,36 @@ class TestCommands:
         gmm, _ = parse_model(open(out + ".gmm").read())
         assert gmm.means.shape == (3, 4)
 
+    @pytest.mark.parametrize("pca", [[], ["--pca-threshold", "0.999"]],
+                             ids=["raw", "prefilter"])
+    def test_cluster_projection_names_every_input_column(self, tmp_path,
+                                                         pca):
+        """``cluster`` writes ``.projection`` as ``features`` does: one
+        named row per input column. Through the pre-filter it is mapped
+        back to the input columns, and ``.features`` holds the centred
+        data times it."""
+        rng = np.random.default_rng(10)
+        y = np.repeat([1, 2, 3], 30)
+        X = rng.standard_normal((90, 4)) + 4.0 * np.eye(4)[y]
+        X = np.column_stack([X, X[:, 1] + X[:, 2]])
+        lines = ["x1,x2,x3,x4,x5,y"] + [
+            ",".join(map(repr, row)) + f",{c}"
+            for row, c in zip(X.tolist(), y.tolist())]
+        data = _write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        out = str(tmp_path / "clu.tsv")
+        assert main(["cluster", "--data", data, "--labels", "y",
+                     "--clusters", "3", "--dim", "2", "--max-iters", "30",
+                     "--out", out, *pca]) == 0
+        proj = [r.split("\t") for r in
+                open(out + ".projection").read().splitlines()[1:]]
+        assert proj[0] == ["feature", "v1", "v2"]
+        assert [r[0] for r in proj[1:]] == ["x1", "x2", "x3", "x4", "x5"]
+        V = np.array([[float(v) for v in r[1:]] for r in proj[1:]])
+        Z = np.array([[float(v) for v in r.split("\t")[:2]] for r in
+                      open(out + ".features").read().splitlines()[2:]])
+        Xin = X - X.mean(axis=0) if pca else X
+        np.testing.assert_allclose(Z, Xin @ V, rtol=1e-9, atol=1e-9)
+
     def test_cluster_accepts_initial_mixture_file(self, tmp_path):
         data = _blob_csv(tmp_path / "d.csv", seed=4)
         out1 = str(tmp_path / "first.tsv")
@@ -510,6 +540,24 @@ class TestCommands:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["1", "2"])
+    def test_zero_within_scatter_is_numerical_error(self, tmp_path, capsys,
+                                                    dim):
+        """When every class's rows are identical the within scatter is
+        zero: the warm start falls back, the fallback's discriminant
+        directions cannot factor it, and ``fit`` exits 4 with one error
+        line after the fallback's warning."""
+        data = _write(tmp_path / "d.csv",
+                      "a,b,y\n0,0,1\n0,0,1\n0,0,1\n1,2,2\n1,2,2\n1,2,2\n")
+        out = tmp_path / "m.opgd"
+        with pytest.warns(UserWarning, match="warm-start eigen-solve failed"):
+            rc = main(["fit", "--data", data, "--labels", "y", "--dim", dim,
+                       "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
     def test_exit_code_data_error(self, tmp_path, capsys):
         p = _write(tmp_path / "bad.csv", "a,y\n1,1\nzzz,2\n")
         rc = main(["fit", "--data", str(p), "--labels", "y",
@@ -590,6 +638,128 @@ class TestCommands:
         rc = main(["fit", "--data", str(tmp_path / "absent.csv"),
                    "--labels", "y", "--out", str(tmp_path / "m.opgd")])
         assert rc == 3
+
+
+def _table_csv(path, columns, rows):
+    """A comma table with ``columns`` as header; ``rows`` maps a column
+    name to its cells."""
+    lines = [",".join(columns)]
+    lines += [",".join(str(rows[c][i]) for c in columns)
+              for i in range(len(rows[columns[0]]))]
+    return _write(path, "\n".join(lines) + "\n")
+
+
+def _blob_columns(seed, n_per=20):
+    """Three labelled blobs in x1/x2, a constant column c, a numeric
+    noise column e and a string column g."""
+    rng = np.random.default_rng(seed)
+    n = 3 * n_per
+    y = np.repeat([1, 2, 3], n_per)
+    centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])[y - 1]
+    xy = centers + rng.standard_normal((n, 2))
+    return {"x1": [repr(v) for v in xy[:, 0].tolist()],
+            "x2": [repr(v) for v in xy[:, 1].tolist()],
+            "c": ["1.5"] * n,
+            "e": [repr(v) for v in rng.standard_normal(n).tolist()],
+            "g": [f"s{i % 4}" for i in range(n)],
+            "y": [str(v) for v in y]}
+
+
+class TestEvaluate:
+    def _run(self, tmp_path, capsys, data, *argv):
+        capsys.readouterr()
+        rc = main(["evaluate", "--data", data, "--labels", "y", "--method",
+                   "lda,save", "--grid", "1", "--folds", "3",
+                   "--out", str(tmp_path / "res.tsv"), *argv])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        rows = {r.split("\t")[0]: r.split("\t")
+                for r in out.splitlines()[1:]}
+        return rc, rows, err
+
+    def test_test_table_without_a_dropped_column(self, tmp_path, capsys):
+        """With ``--drop-constant``, the test table is scored in the
+        training table's columns: a constant column dropped from the
+        training table is ignored in the test table."""
+        train = _table_csv(tmp_path / "train.csv", ["x1", "c", "x2", "y"],
+                           _blob_columns(1))
+        test_cols = _blob_columns(2)
+        test_cols["c"] = test_cols["e"]
+        with_c = _table_csv(tmp_path / "t1.csv", ["x1", "c", "x2", "y"],
+                            test_cols)
+        without_c = _table_csv(tmp_path / "t2.csv", ["x1", "x2", "y"],
+                               test_cols)
+        results = []
+        for test in (with_c, without_c):
+            rc, rows, _ = self._run(tmp_path, capsys, train,
+                                    "--drop-constant", "--test", test)
+            assert rc == 0
+            results.append({m: r[3] for m, r in rows.items()})
+        assert results[0] == results[1]
+        assert set(results[0]) == {"lda", "save"}
+        assert all(0.0 <= float(e) <= 1.0 for e in results[0].values())
+
+    def test_test_columns_are_matched_by_name(self, tmp_path, capsys):
+        """Reordered test columns, and extra ones (a string column among
+        them), give the test error of a table laid out as the training
+        table."""
+        cols = _blob_columns(3)
+        train = _table_csv(tmp_path / "train.csv", ["x1", "x2", "g", "y"],
+                           _blob_columns(4))
+        plain = _table_csv(tmp_path / "t1.csv", ["x1", "x2", "y"], cols)
+        shuffled = _table_csv(tmp_path / "t2.csv",
+                              ["y", "g", "x2", "e", "x1"], cols)
+        results = []
+        for test in (plain, shuffled):
+            rc, rows, _ = self._run(tmp_path, capsys, train, "--group", "g",
+                                    "--test", test)
+            assert rc == 0
+            results.append({m: r[3] for m, r in rows.items()})
+        assert results[0] == results[1]
+
+    def test_test_table_missing_a_column_is_data_error(self, tmp_path,
+                                                        capsys):
+        cols = _blob_columns(5)
+        train = _table_csv(tmp_path / "train.csv", ["x1", "x2", "y"], cols)
+        test = _table_csv(tmp_path / "t.csv", ["x1", "e", "y"], cols)
+        rc, _, err = self._run(tmp_path, capsys, train, "--test", test)
+        assert rc == 3
+        assert err.startswith(f"error: {test}: no column named 'x2'")
+        assert not (tmp_path / "res.tsv").exists()
+
+    @pytest.mark.parametrize("flag", ["--test", "--group"])
+    def test_flag_without_folds_is_config_error(self, tmp_path, capsys,
+                                                flag):
+        """``--test`` and ``--group`` act only with ``--folds``; without
+        it they are refused before any work, even naming no file."""
+        data = _blob_csv(tmp_path / "d.csv", seed=6)
+        capsys.readouterr()
+        rc = main(["evaluate", "--data", data, "--labels", "y",
+                   "--method", "lda", "--out", str(tmp_path / "res.tsv"),
+                   flag, str(tmp_path / "absent")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} needs --folds\n"
+        assert not (tmp_path / "res.tsv.manifest").exists()
+
+    @pytest.mark.parametrize("method", ["opgd", "lda", "save"])
+    def test_fractional_dimension_is_config_error(self, tmp_path, capsys,
+                                                  method):
+        data = _blob_csv(tmp_path / "d.csv", seed=7)
+        capsys.readouterr()
+        rc = main(["evaluate", "--data", data, "--labels", "y",
+                   "--method", method, "--grid", "1,1.7",
+                   "--out", str(tmp_path / "res.tsv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {method} takes integer dimensions, got "
+                       "grid value 1.7\n")
+        assert not (tmp_path / "res.tsv.manifest").exists()
+
+    def test_integer_valued_grid_is_a_dimension(self, tmp_path, capsys):
+        data = _blob_csv(tmp_path / "d.csv", seed=8)
+        rc, rows, _ = self._run(tmp_path, capsys, data, "--grid", "2.0")
+        assert rc == 0
+        assert rows["lda"][1] == "2" and rows["save"][1] == "2"
 
 
 class TestDeterminism:

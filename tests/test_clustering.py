@@ -355,6 +355,37 @@ class TestFitGmmEm:
         np.testing.assert_allclose(trace, ref_trace, rtol=1e-12)
         assert np.all(np.diff(trace) >= -1e-8)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dead_component_is_reseeded(self, seed):
+        """Three distinct points, ten copies each, leave a fourth
+        component no mass: k-means leaves it empty, so the first M-step,
+        before any E-step, re-seeds it from the seeded draw, and every
+        later M-step at the worst-explained point, each with a warning.
+        The fit that comes back is a proper mixture whose last trace
+        entry is its own likelihood."""
+        X = np.repeat([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 10, axis=0)
+        assert len(set(_kmeans(X, 4, np.random.default_rng(seed)))) == 3
+        message = "mixture component 4 lost all responsibility mass"
+        with pytest.warns(UserWarning, match=message) as caught:
+            gmm, trace = fit_gmm_em(X, 4, ClusterConfig(seed=seed),
+                                    return_trace=True)
+        assert [str(w.message) for w in caught] == \
+            [message + "; re-seeding"] * len(trace)
+        for a in (gmm.weights, gmm.means, gmm.covariances, trace):
+            assert np.all(np.isfinite(a))
+        assert gmm.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(np.sort(gmm.weights),
+                                   np.array([1, 10, 10, 10]) / 31, rtol=1e-9)
+        joint = np.log(gmm.weights)[None, :] + np.column_stack([
+            multivariate_normal.logpdf(X, mean=m, cov=S)
+            for m, S in zip(gmm.means, gmm.covariances)])
+        assert trace[-1] == pytest.approx(logsumexp(joint, axis=1).sum(),
+                                          rel=1e-10)
+        R = responsibilities(X, gmm)
+        np.testing.assert_allclose(
+            R, np.exp(joint - logsumexp(joint, axis=1, keepdims=True)),
+            rtol=1e-9, atol=1e-12)
+
     def test_component_below_floor_is_clamped_like_floor_covariance(self):
         """A blob flat in one coordinate has its scatter eigenvalue clamped
         at the floor, exactly as ``_floor_covariance`` clamps it."""
@@ -519,6 +550,28 @@ class TestDiagEm:
         assert len(got[4]) == len(want[4]) < config.em_max_iters
         np.testing.assert_array_equal(np.argmax(got[3], axis=1),
                                       np.argmax(want[3], axis=1))
+
+    def test_dead_component_is_reseeded(self):
+        """A start mean far from every point gets no mass at the first
+        E-step: it is re-seeded with a warning, and the returned
+        responsibilities are those of the returned, proper mixture."""
+        X, (weights, means, variances) = self._start()
+        means[2] = [1e4, 1e4]
+        with pytest.warns(UserWarning,
+                          match="projected component 3 lost all "
+                                "responsibility mass; re-seeding"):
+            weights, means, variances, R, trace = _diag_em(
+                X, weights, means, variances, ClusterConfig())
+        for a in (weights, means, variances, R, trace):
+            assert np.all(np.isfinite(a))
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert weights[2] > 0.01 and np.abs(means[2]).max() < 10.0
+        joint = np.log(weights)[None, :] + np.column_stack([
+            multivariate_normal.logpdf(X, mean=m, cov=np.diag(v))
+            for m, v in zip(means, variances)])
+        np.testing.assert_allclose(
+            R, np.exp(joint - logsumexp(joint, axis=1, keepdims=True)),
+            rtol=1e-10, atol=1e-12)
 
     def test_cap_warns(self):
         X, start = self._start()

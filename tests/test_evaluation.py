@@ -8,6 +8,8 @@ from opgd.evaluation import (
     FoldPlan,
     GridSearchResult,
     SplitPlan,
+    _fit_method,
+    _predict_method,
     adjusted_rand_index,
     default_grid,
     grid_search,
@@ -288,3 +290,92 @@ class TestGridSearch:
         plan = make_split(ds.n, seed=17)
         with pytest.raises(ConfigError):
             grid_search("opgd", [], ds, plan)
+
+    @pytest.mark.parametrize("method, value", [
+        ("opgd", 1.5), ("lda", 2.9), ("save", 0.5), ("opgd", float("inf")),
+        ("lda", float("nan")), ("save", -0.5)])
+    def test_non_integer_dimension_refused(self, method, value):
+        """A dimension that is not an integer is refused by name, before
+        any fit, instead of being truncated."""
+        ds = _planted_dataset(18, n_per=20)
+        plan = make_split(ds.n, seed=18)
+        with pytest.raises(ConfigError, match=repr(value)):
+            grid_search(method, [1, value], ds, plan)
+
+    @pytest.mark.parametrize("method", ["opgd", "lda", "save"])
+    def test_integer_valued_float_is_a_dimension(self, method):
+        ds = _planted_dataset(19, n_per=30)
+        plan = make_split(ds.n, seed=19)
+        res = grid_search(method, [2.0], ds, plan, OptimConfig(max_iters=30))
+        assert res.best_hyper == 2 and type(res.best_hyper) is int
+        assert res.val_errors[0][0] == 2 and type(res.val_errors[0][0]) is int
+        assert res.model.projection.shape == (4, 2)
+
+    def test_rda_blends_are_floats(self):
+        ds = _planted_dataset(20, n_per=30)
+        plan = make_split(ds.n, seed=20)
+        res = grid_search("rda", [1, 0.5], ds, plan)
+        assert [h for h, _ in res.val_errors] == [0.5, 1.0]
+        assert all(type(h) is float for h, _ in res.val_errors)
+
+    @pytest.mark.parametrize("method, grid", [("opgd", [1, 2, 3]),
+                                              ("rda", [0.0, 0.5, 1.0])])
+    def test_split_error_is_the_validation_error(self, method, grid):
+        """Each grid point's split error is the share of validation rows
+        a model fitted on the train part gets wrong."""
+        ds = _planted_dataset(21, n_per=30)
+        plan = make_split(ds.n, seed=21)
+        opt = OptimConfig(max_iters=30)
+        res = grid_search(method, grid, ds, plan, opt)
+        train = Dataset(ds.X[plan.train], ds.labels[plan.train])
+        for h, err in res.val_errors:
+            pred = _predict_method(method, _fit_method(method, train, h, opt),
+                                   ds.X[plan.val])
+            assert err == misclassification_error(pred, ds.labels[plan.val])
+
+    def test_fold_error_pools_every_fold(self):
+        """A fold plan's error is the wrong predictions of every held-out
+        fold over all rows, and the model is refitted on every row."""
+        ds = _planted_dataset(22, n_per=20)
+        plan = make_folds(ds.n, 4, seed=22)
+        res = grid_search("save", [1, 2], ds, plan)
+        for h, err in res.val_errors:
+            wrong = 0
+            for fold in range(plan.k):
+                rest, held = plan.fold_indices(fold)
+                fit = _fit_method("save", Dataset(ds.X[rest], ds.labels[rest]),
+                                  h, None)
+                wrong += int(np.sum(_predict_method("save", fit, ds.X[held])
+                                    != ds.labels[held]))
+            assert err == wrong / ds.n
+        full = _fit_method("save", ds, res.best_hyper, None)
+        np.testing.assert_array_equal(res.model.projection, full.projection)
+
+    @pytest.mark.parametrize("plan_kind", ["split", "folds"])
+    def test_refit_warm_starts_only_on_a_split(self, monkeypatch, plan_kind):
+        """The opgd refit starts from the winning validation model's
+        projection on a split, and from its own warm start on folds."""
+        import opgd.evaluation as evaluation
+        calls = []
+        fit_opgd = evaluation.fit_opgd
+
+        def recording_fit(train, dim, config, V0=None):
+            model = fit_opgd(train, dim, config, V0=V0)
+            calls.append((train.n, dim, V0, model.projection))
+            return model
+
+        monkeypatch.setattr(evaluation, "fit_opgd", recording_fit)
+        ds = _planted_dataset(23, n_per=20)
+        plan = make_split(ds.n, seed=23) if plan_kind == "split" \
+            else make_folds(ds.n, 3, seed=23)
+        res = grid_search("opgd", [1, 2], ds, plan, OptimConfig(max_iters=30))
+        *searched, (n_refit, dim, V0, _) = calls
+        assert dim == res.best_hyper
+        assert all(v is None for _, _, v, _ in searched)
+        if plan_kind == "split":
+            assert n_refit == len(plan.train) + len(plan.val)
+            winner = [V for _, d, _, V in searched if d == dim]
+            assert len(searched) == 2 and V0 is winner[0]
+        else:
+            assert n_refit == ds.n and V0 is None
+            assert len(searched) == 2 * plan.k

@@ -195,6 +195,24 @@ class TestFaults:
             ingest_csv(str(p))
 
 
+def test_named_feature_columns(tmp_path):
+    """``feature_columns`` takes those columns by name, in that order;
+    the other columns are not parsed, but rows must still be whole."""
+    p = _write(tmp_path / "d.csv",
+               "g,b,y,note,a\ns1,2,1,x,1\ns2,4,2,,3\ns1,1,1,y z,5\n")
+    ing = ingest_csv(p, label_column="y", feature_columns=("a", "b"))
+    assert ing.feature_names == ("a", "b")
+    np.testing.assert_array_equal(ing.dataset.X, [[1, 2], [3, 4], [5, 1]])
+    np.testing.assert_array_equal(ing.dataset.labels, [1, 2, 1])
+    with pytest.raises(DataError, match="no column named 'c'"):
+        ingest_csv(p, label_column="y", feature_columns=("a", "c"))
+    with pytest.raises(DataError, match="'x' at row 2, column 'note'"):
+        ingest_csv(p, label_column="y", feature_columns=("a", "note"))
+    q = _write(tmp_path / "e.csv", "a,note\n1,x\n2\n")
+    with pytest.raises(DataError, match="row 3 has 1 fields, expected 2"):
+        ingest_csv(q, feature_columns=("a",))
+
+
 def test_drop_constant_keeps_x_c_contiguous(tmp_path):
     p = _write(tmp_path / "d.csv",
                "a,c,y,b,d\n1,7,1,2,0\n3,7,2,4,0\n5,7,1,1,0\n")

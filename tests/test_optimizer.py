@@ -1,5 +1,7 @@
 """Tests for initialization, quasi-Newton ascent and column ordering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from opgd.objective import classification_log_likelihood, grad_objective
 from opgd.optimizer import (
     MIN_STEP,
     OptimConfig,
+    _fallback_projection,
     _real_basis_from_eig,
     ascend,
     discriminant_directions,
@@ -150,6 +153,64 @@ class TestInitProjection:
         w, Q = np.linalg.eigh(sc.total)
         assert _cosine(V[:, 0], Q[:, -1]) > 1 - 1e-8
         assert _cosine(V[:, 1], Q[:, -2]) > 1 - 1e-8
+
+
+def _tiny_two_class_scatter(seed):
+    """Two classes of 2-3 rows in 8 columns: the within scatter is
+    singular and the warm start's eigenvectors can come out dependent."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(2, 4, size=2)
+    ds = Dataset(X=rng.standard_normal((counts.sum(), 8)),
+                 labels=np.repeat([1, 2], counts))
+    return compute_scatter(ds, estimate_class_model(ds))
+
+
+class TestFallbackProjection:
+    def test_dependent_eigenvectors_fall_back_with_a_warning(self):
+        """On tiny tables of many columns the eigen-solve of the warm
+        start can select nearly dependent eigenvectors; the fallback then
+        gives a finite projection of unit columns with a warning."""
+        hits = 0
+        for seed in range(30):
+            sc = _tiny_two_class_scatter(seed)
+            for dim in (7, 8):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", UserWarning)
+                    V = init_projection(sc, dim, OptimConfig())
+                if not caught:
+                    continue
+                hits += 1
+                assert [str(w.message) for w in caught] == [
+                    "warm-start eigen-solve failed (selected eigenvectors "
+                    "nearly dependent); using discriminant/principal-"
+                    "component fallback"]
+                assert V.shape == (8, dim) and np.all(np.isfinite(V))
+                np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0,
+                                           atol=1e-12)
+        assert hits >= 2
+
+    @pytest.mark.parametrize("dim", [1, 4, 5, 8])
+    def test_discriminant_then_principal_then_seeded_directions(self, dim):
+        """With two classes one direction is discriminant; the rest are
+        principal components of the total scatter outside the columns
+        so far, and, past its rank of 4, seeded random directions. All
+        are orthonormal, and the first is the discriminant direction."""
+        sc = _tiny_two_class_scatter(6)
+        assert np.linalg.matrix_rank(sc.total) == 4
+        config = OptimConfig(seed=3)
+        V = _fallback_projection(sc, dim, config)
+        assert V.shape == (8, dim) and np.all(np.isfinite(V))
+        np.testing.assert_allclose(V.T @ V, np.eye(dim), atol=1e-10)
+        w, _ = discriminant_directions(sc, 1, config.ridge_frac)
+        assert _cosine(V[:, 0], w) > 1 - 1e-10
+        np.testing.assert_array_equal(V, _fallback_projection(sc, dim,
+                                                              config))
+        if dim > 1:
+            # the principal components lie in the span of the data
+            Q = np.linalg.svd(sc.total)[0][:, :4]
+            k = min(dim, 4)
+            np.testing.assert_allclose(Q @ (Q.T @ V[:, :k]), V[:, :k],
+                                       atol=1e-8)
 
 
 def _off_ridge(G, D):
