@@ -13,12 +13,10 @@ component densities. After the ascent the mixture is re-estimated
 inside the subspace by diagonal-covariance EM and points are labeled by
 their maximum responsibility.
 
-Both EMs (the full-space fit and the projected re-estimate) share one
-stopping rule, :func:`_em_converged`: they stop when a step gains
-nothing, or when the log-likelihood gain still to come by Aitken's
-extrapolation of the last three values is at most
-``em_tol * max(1, |loglik|)`` (``em_tol = 1e-5`` by default). An EM that
-reaches ``em_max_iters`` first stops there with a ``UserWarning``.
+Both EMs (the full-space fit and the projected re-estimate) run in one
+loop, :func:`_run_em`, which owns the stop, the cap warning,
+re-seeding and the weights; each EM supplies only its E- and M-step on
+its own sufficient statistics.
 
 Both EMs work observation-last, like the projected model in
 :mod:`opgd.objective`: log joints, their log-sum-exps and the
@@ -108,7 +106,7 @@ class ClusterConfig:
     ``lam`` is the orthonormality penalty weight; ``None`` means the
     number of observations. ``em_tol`` bounds the log-likelihood gain
     that Aitken's extrapolation says is still to come when EM stops,
-    relative to ``max(1, |loglik|)`` (see :func:`_em_converged`); the
+    relative to ``max(1, |loglik|)`` (see :func:`_run_em`); the
     default ``1e-5`` is mclust's EM tolerance. An EM still short of it
     after ``em_max_iters`` iterations stops with a ``UserWarning``.
     Every float must be finite.
@@ -159,6 +157,53 @@ def _em_converged(trace, tol: float) -> bool:
         return False
     a = gain / (trace[-2] - trace[-3])
     return a < 1 and gain * a / (1 - a) <= tol * max(1.0, abs(trace[-1]))
+
+
+def _run_em(e_step, m_step, reseed, config: ClusterConfig, name: str,
+            component: str, weights=None, R=None):
+    """The EM loop of both mixtures.
+
+    ``e_step(weights)`` returns the ``(K, n)`` log joints of the current
+    parameters; ``m_step(R)`` re-estimates them from the ``(K, n)``
+    responsibilities and returns each component's mass; ``reseed(k,
+    worst)`` restarts component ``k`` at observation ``worst``, the one
+    the last E-step explained worst (``None`` before any). A fit given
+    ``R`` starts with an M-step, one given ``weights`` with an E-step.
+
+    After each M-step a component whose mass fell below 1e-10 is
+    re-seeded, with a ``UserWarning``, at weight ``1/n``, and the
+    weights are renormalised. EM stops by :func:`_em_converged` at
+    ``config.em_tol``: when a step gains nothing, or when Aitken's
+    extrapolation of the last three log-likelihoods leaves at most
+    ``em_tol * max(1, |loglik|)`` to gain. One that reaches
+    ``config.em_max_iters`` first stops there with a ``UserWarning``
+    naming the cap. Either way the last pass is an E-step: the returned
+    ``(weights, R, trace)`` hold the responsibilities of the returned
+    mixture and the log-likelihood after each E-step.
+    """
+    trace, ll_per_point = [], None
+    for _ in range(config.em_max_iters + 1):
+        if R is not None:
+            n = R.shape[1]
+            mass = m_step(R)
+            weights = mass / n
+            for k in np.flatnonzero(mass < 1e-10):
+                warnings.warn(f"{component} component {k + 1} lost all "
+                              "responsibility mass; re-seeding")
+                reseed(k, None if ll_per_point is None
+                       else int(np.argmin(ll_per_point)))
+                weights[k] = 1.0 / n
+            weights = weights / weights.sum()
+        joint = e_step(weights)
+        ll_per_point = component_logsumexp(joint)
+        trace.append(float(ll_per_point.sum()))
+        R = np.exp(joint - ll_per_point)
+        if _em_converged(trace, config.em_tol):
+            break
+    else:
+        warnings.warn(f"{name} stopped at its cap of "
+                      f"{config.em_max_iters} iterations before converging")
+    return weights, R, np.asarray(trace)
 
 
 def _floor_covariance(S, floor):
@@ -221,16 +266,18 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     mixture explains worst, with a warning. The log-likelihood trace is
     non-decreasing (within 1e-8) whenever no floor or re-seed fires.
 
-    EM stops by :func:`_em_converged` at ``config.em_tol``, or after
-    ``config.em_max_iters`` iterations with a ``UserWarning`` naming the
-    cap. ``return_trace=True`` returns ``(model, trace)``, the trace
-    holding the log-likelihood after each E-step.
+    EM runs in :func:`_run_em`, starting with an M-step from the k-means
+    partition, and stops as it describes. ``return_trace=True`` returns
+    ``(model, trace)``, the trace holding the log-likelihood after each
+    E-step.
     """
     config = config if config is not None else ClusterConfig()
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DataError("X must be a 2-d array")
     n, p = X.shape
+    if p == 0:
+        raise DataError("X has no columns to fit a mixture to")
     if K < 1:
         raise ConfigError(f"need at least one component, got K={K}")
     if n < K:
@@ -248,21 +295,20 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     center = X.mean(axis=0)
     X1 = _augment(X, center)
     D = np.empty((K, p, n))
-    anchors = np.empty((K, p))
+    anchors, means = np.empty((K, p)), np.empty((K, p))
+    covs = np.empty((K, p, p))
     stale = np.ones(K, dtype=bool)
     rows = max(1, _BLOCK_ENTRIES // (K * p))
     block = np.empty((K, p, rows))
     eye = np.eye(p)
-    trace = []
-    ll_per_point = None
-    for _ in range(config.em_max_iters + 1):
-        # M-step: M_k = sum_i r_ki (x_i - a_k) [x_i - c, 1] for all k
-        # from one (K p, n) x (n, p + 1) product, taken in cache-sized
-        # row blocks; one Cholesky to test the floors
+
+    def m_step(R):
+        # M_k = sum_i r_ki (x_i - a_k) [x_i - c, 1] for all k from one
+        # (K p, n) x (n, p + 1) product, taken in cache-sized row blocks;
+        # one Cholesky to test the floors. A component without mass
+        # divides by 1 and is re-seeded by _run_em.
         mass = R.sum(axis=1)
-        dead = mass < 1e-10
-        live = np.flatnonzero(~dead)
-        divisor = np.where(dead, 1.0, mass)[:, None]
+        divisor = np.where(mass > 0, mass, 1.0)[:, None]
         if stale.any():
             anchors[stale] = R[stale] @ X1[:, :p] / divisor[stale]
             D[stale] = X1[:, :p].T - anchors[stale, :, None]
@@ -276,46 +322,36 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
         # M_k / m_k = [S_k + d_k (mu_k - c)', d_k] for the shift
         # d_k = mu_k - a_k of each mean from its anchor
         shift = moments[:, :, p]
-        means = anchors + shift
-        covs = symmetrize(moments[:, :, :p]
-                          - shift[:, :, None] * means[:, None, :])
-        stale = (shift * shift > np.einsum("kii->ki", covs)).any(axis=1)
+        means[:] = anchors + shift
+        covs[:] = symmetrize(moments[:, :, :p]
+                             - shift[:, :, None] * means[:, None, :])
+        stale[:] = (shift * shift > np.einsum("kii->ki", covs)).any(axis=1)
         floors = config.cov_floor * np.maximum(
             np.einsum("kii->k", covs), 1e-6 * data_cov_trace) / p
-        _, above = cholesky_factors(covs[live]
-                                    - floors[live, None, None] * eye)
-        for k in live[~above]:
+        _, above = cholesky_factors(covs - floors[:, None, None] * eye)
+        for k in np.flatnonzero(~above):
             covs[k] = _floor_covariance(covs[k], floors[k])
-        weights = mass / n
-        for k in np.flatnonzero(dead):
-            # dead component: restart at the worst-explained point
-            warnings.warn(f"mixture component {k + 1} lost all "
-                          "responsibility mass; re-seeding")
-            worst = int(np.argmin(ll_per_point)) \
-                if ll_per_point is not None else int(rng.integers(n))
-            means[k] = X1[worst, :p]
-            stale[k] = True
-            covs[k] = _floor_covariance(
-                np.diag(np.full(p, max(data_cov_trace / p, 1e-12))),
-                config.cov_floor * max(data_cov_trace, 1e-12) / p)
-            weights[k] = 1.0 / n
-        weights = weights / weights.sum()
-        # E-step on (K, n) arrays, in row blocks of X1
+        return mass
+
+    def reseed(k, worst):
+        means[k] = X1[worst if worst is not None else rng.integers(n), :p]
+        stale[k] = True
+        covs[k] = _floor_covariance(
+            np.diag(np.full(p, max(data_cov_trace / p, 1e-12))),
+            config.cov_floor * max(data_cov_trace, 1e-12) / p)
+
+    def e_step(weights):
+        # (K, n) log joints, in row blocks of X1
         joint = _shifted_log_densities(X1, means, covs)
         joint += np.log(weights)[:, None]
-        ll_per_point = component_logsumexp(joint)
-        ll = float(ll_per_point.sum())
-        trace.append(ll)
-        R = np.exp(joint - ll_per_point)
-        if _em_converged(trace, config.em_tol):
-            break
-    else:
-        warnings.warn(f"full-space EM stopped at its cap of "
-                      f"{config.em_max_iters} iterations before converging")
+        return joint
+
+    weights, _, trace = _run_em(e_step, m_step, reseed, config,
+                                "full-space EM", "mixture", R=R)
     means += center
     model = GmmModel(weights=weights, means=means, covariances=covs)
     if return_trace:
-        return model, np.asarray(trace)
+        return model, trace
     return model
 
 
@@ -441,30 +477,33 @@ def gradient_check(trials: int, seed: int):
 def _diag_em(Z, weights, means, variances, config: ClusterConfig):
     """Diagonal-covariance EM in the projected space, warm-started.
 
-    Stops like :func:`fit_gmm_em`: by :func:`_em_converged`, or at
-    ``config.em_max_iters`` with a ``UserWarning``. Either way the last
-    pass is an E-step: the returned ``n x K`` responsibilities are those
-    of the returned mixture.
+    EM runs in :func:`_run_em`, starting with an E-step from the given
+    mixture, and stops as it describes; the returned ``n x K``
+    responsibilities are those of the returned mixture. The caller's
+    arrays are not written to.
     """
     K, (n, d) = len(weights), Z.shape
     ZT = np.ascontiguousarray(Z.T)
     floor = config.cov_floor * max(float(np.var(Z, axis=0).mean()), 1e-12)
+    means = np.array(means, dtype=float)
     variances = np.maximum(variances, floor)
     # F[k] = [(Z - a_k)^2; Z - a_k; 1]' about the anchor a_k (see the
     # module docstring): component k's log joint is linear in its rows,
     # and R[k] F[k]' holds its mass and moments about a_k
     F = np.empty((K, 2 * d + 1, n))
     F[:, 2 * d] = 1.0
-    anchors = np.empty_like(means)
-    stale = np.ones(K, dtype=bool)
+    anchors = np.full_like(means, np.inf)
     coef = np.empty((K, 1, 2 * d + 1))
-    trace = []
-    for it in range(config.em_max_iters + 1):
-        for k in np.flatnonzero(stale):
+
+    def e_step(weights):
+        # re-anchor each component whose mean drifted more than one sd
+        # from its anchor: all of them at first, the anchors being inf
+        for k in np.flatnonzero(((means - anchors) ** 2
+                                 > variances).any(axis=1)):
             anchors[k] = means[k]
             np.subtract(ZT, means[k, :, None], out=F[k, d:2 * d])
             np.multiply(F[k, d:2 * d], F[k, d:2 * d], out=F[k, :d])
-        # E-step: every log joint from one batched product
+        # every log joint from one batched product
         offset = means - anchors
         prec = 1.0 / variances
         coef[:, 0, :d] = -0.5 * prec
@@ -472,35 +511,28 @@ def _diag_em(Z, weights, means, variances, config: ClusterConfig):
         coef[:, 0, 2 * d] = np.log(weights) - 0.5 * (
             d * LOG_2PI
             + (np.log(variances) + offset * offset * prec).sum(axis=1))
-        joint = (coef @ F)[:, 0, :]
-        ll_per_point = component_logsumexp(joint)
-        ll = float(ll_per_point.sum())
-        trace.append(ll)
-        R = np.exp(joint - ll_per_point)
-        if _em_converged(trace, config.em_tol):
-            break
-        if it == config.em_max_iters:
-            warnings.warn(f"projected EM stopped at its cap of "
-                          f"{config.em_max_iters} iterations before converging")
-            break
-        # M-step: mass and moments about the anchors from one product
+        return (coef @ F)[:, 0, :]
+
+    def m_step(R):
+        # mass and moments about the anchors from one product; a
+        # component without mass divides by 1 and is re-seeded by
+        # _run_em
         sums = (F @ R[:, :, None])[:, :, 0]
         mass = sums[:, 2 * d]
-        dead = mass < 1e-10
-        divisor = np.where(dead, 1.0, mass)[:, None]
+        divisor = np.where(mass > 0, mass, 1.0)[:, None]
         shift = sums[:, d:2 * d] / divisor
-        means = anchors + shift
-        variances = np.maximum(sums[:, :d] / divisor - shift * shift, floor)
-        weights = mass / n
-        for k in np.flatnonzero(dead):
-            warnings.warn(f"projected component {k + 1} lost all "
-                          "responsibility mass; re-seeding")
-            means[k] = Z[int(np.argmin(ll_per_point))]
-            variances[k] = np.maximum(np.var(Z, axis=0), floor)
-            weights[k] = 1.0 / n
-        weights = weights / weights.sum()
-        stale = ((means - anchors) ** 2 > variances).any(axis=1)
-    return weights, means, variances, R.T, np.asarray(trace)
+        means[:] = anchors + shift
+        variances[:] = np.maximum(sums[:, :d] / divisor - shift * shift,
+                                  floor)
+        return mass
+
+    def reseed(k, worst):
+        means[k] = Z[worst]
+        variances[k] = np.maximum(np.var(Z, axis=0), floor)
+
+    weights, R, trace = _run_em(e_step, m_step, reseed, config,
+                                "projected EM", "projected", weights=weights)
+    return weights, means, variances, R.T, trace
 
 
 def enhance_gmm(X, gmm: GmmModel, dim: int, config: ClusterConfig | None = None,
@@ -562,7 +594,8 @@ def pca_prefilter(X, threshold: float):
     Keeps the smallest leading set of principal components whose
     cumulative share of the total variance reaches ``threshold`` and
     returns the centered projected data together with the component
-    basis (columns, for back-mapping).
+    basis (columns, for back-mapping). Data without variance is a
+    ``DataError``: no component would be kept.
     """
     if not 0 < threshold <= 1:
         raise ConfigError("threshold must lie in (0, 1]")
@@ -571,8 +604,9 @@ def pca_prefilter(X, threshold: float):
     w, U = np.linalg.eigh(symmetrize(Xc.T @ Xc / X.shape[0]))
     w, U = w[::-1], U[:, ::-1]
     total = w.sum()
-    if total <= 0:
-        return Xc[:, :0].copy(), U[:, :0]
+    if not total > 0:
+        raise DataError("no column varies: the PCA pre-filter would keep "
+                        "no component")
     ratio = np.cumsum(w) / total
     ratio[-1] = 1.0
     m = int(np.searchsorted(ratio, threshold) + 1)

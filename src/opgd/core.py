@@ -335,7 +335,8 @@ def sphere(dataset: Dataset):
     if np.any(w <= floor):
         raise CollinearityError(
             "total covariance is numerically singular "
-            f"(min eigenvalue {w.min():.3e}); consider the PCA pre-filter"
+            f"(min eigenvalue {w.min():.3e}); remove constant or collinear "
+            "columns (--drop-constant removes the constant ones)"
         )
     T = symmetrize(Q @ ((1.0 / np.sqrt(w)) * Q).T)
     return Dataset(X=D @ T, labels=dataset.labels), T

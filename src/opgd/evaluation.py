@@ -227,14 +227,15 @@ def grid_search(method: str, grid, train: Dataset, plan,
     its validation part, refit on both; the plan's test part is never
     touched here) or a :class:`FoldPlan` (fit without each fold, score
     on it, refit on everything). Ties go to the smallest hyper-parameter;
-    dimensions are integers (``2.0`` is one), ``rda``'s blends floats.
+    dimensions are integers (``2.0`` is one), ``rda``'s blends floats,
+    and a value the grid repeats is fitted once.
     Grid points whose fit raises are recorded and skipped; only a fully
     failed grid raises. On a split, the ``opgd`` refit is warm-started
     from the winning validation model's projection.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    grid = sorted(float(h) for h in grid)
+    grid = sorted({float(h) for h in grid})
     if method != "rda":
         for h in grid:
             if not h.is_integer():

@@ -119,10 +119,15 @@ def discriminant_directions(scatter: ScatterMatrices, r: int,
     ``w`` of the symmetric ``L^{-1} B L^{-T}``, so eigenvalues are real
     and non-negative up to round-off. Columns have unit norm, ordered by
     decreasing eigenvalue; also returns the eigenvalues for rank
-    inspection.
+    inspection. A zero within scatter, where every class or cluster is
+    one repeated row, is a ``NumericalError``: the ridge scales with
+    its trace, so nothing would make ``W + ridge I`` definite.
     """
     p = scatter.within.shape[0]
     ridge = ridge_frac * np.trace(scatter.within) / p
+    if not ridge > 0:
+        raise NumericalError("no class or cluster has within-group spread: "
+                             "the rows of each are identical")
     W = symmetrize(scatter.within) + ridge * np.eye(p)
     L_inv = np.linalg.inv(np.linalg.cholesky(W))
     evals, evecs = np.linalg.eigh(

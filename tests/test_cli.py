@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -558,6 +559,20 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and not out.exists()
 
+    def test_collinear_save_hint_names_a_remedy_fit_offers(self, tmp_path,
+                                                            capsys):
+        """SAVE spheres the data, so a column twice another is a
+        singular total covariance. ``fit`` has no PCA pre-filter to
+        suggest."""
+        rows = "".join(f"{i},{2 * i},{1 + i % 2}\n" for i in range(8))
+        data = _write(tmp_path / "d.csv", "a,b,y\n" + rows)
+        rc = main(["fit", "--data", data, "--labels", "y", "--method",
+                   "save", "--dim", "1", "--out", str(tmp_path / "m")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "numerically singular" in err and "--drop-constant" in err
+        assert "PCA" not in err
+
     def test_exit_code_data_error(self, tmp_path, capsys):
         p = _write(tmp_path / "bad.csv", "a,y\n1,1\nzzz,2\n")
         rc = main(["fit", "--data", str(p), "--labels", "y",
@@ -871,6 +886,54 @@ class TestManifestParams:
         assert "which has 1 components" in err and "Traceback" not in err
         assert not out.exists()
         assert not (tmp_path / "c.tsv.manifest").exists()
+
+
+_IDENTICAL_ROWS = "a,b,y\n" + "0,0,1\n" * 3 + "1,2,2\n" * 3
+_TWO_POINTS = "a,b,c\n" + "1,2,0\n" * 3 + "5,6,0\n" * 3
+_CONSTANT = "a,b\n" + "1,2\n" * 4
+# text of numpy's own exceptions, which names no cause in the user's data
+_NUMPY_TEXT = ("not positive definite", "Singular matrix",
+               "did not converge", "division")
+
+
+@pytest.mark.parametrize("table, argv", [
+    (_IDENTICAL_ROWS, ["fit", "--labels", "y", "--method", "opgd"]),
+    (_IDENTICAL_ROWS, ["fit", "--labels", "y", "--method", "lda",
+                       "--dim", "1"]),
+    (_IDENTICAL_ROWS, ["features", "--labels", "y"]),
+    (_IDENTICAL_ROWS, ["cluster", "--labels", "y", "--clusters", "2"]),
+    (_IDENTICAL_ROWS, ["cluster", "--labels", "y", "--clusters", "2",
+                       "--dim", "1", "--pca-threshold", "0.99"]),
+    (_TWO_POINTS, ["cluster", "--clusters", "2"]),
+    (_TWO_POINTS, ["cluster", "--clusters", "2", "--dim", "1",
+                   "--pca-threshold", "0.99"]),
+    (_CONSTANT, ["cluster", "--clusters", "2"]),
+    (_CONSTANT, ["cluster", "--clusters", "2", "--pca-threshold", "0.99"]),
+], ids=["identical-fit-opgd", "identical-fit-lda", "identical-features",
+        "identical-cluster", "identical-cluster-pca", "two-points-cluster",
+        "two-points-cluster-pca", "constant-cluster", "constant-cluster-pca"])
+def test_degenerate_table_ends_in_one_named_error(tmp_path, capsys, table,
+                                                  argv):
+    """A table with no spread to fit ends with an exit code of 2, 3 or
+    4 and one ``error:`` line that names the cause, after any
+    ``warning:`` lines, as under the console script."""
+    data = _write(tmp_path / "d.csv", table)
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category,
+                                                filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        rc = main([argv[0], "--data", data, *argv[1:],
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc in (2, 3, 4) and "Traceback" not in err
+    lines = err.splitlines()
+    assert all(line.startswith("warning: ") for line in lines[:-1])
+    assert lines[-1].startswith("error: ")
+    assert not any(text in lines[-1] for text in _NUMPY_TEXT)
 
 
 def test_no_scipy_at_run_time(tmp_path):

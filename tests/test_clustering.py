@@ -23,7 +23,7 @@ from opgd.clustering import (
     pca_prefilter,
     responsibilities,
 )
-from opgd.core import ConfigError
+from opgd.core import ConfigError, DataError
 from opgd.evaluation import adjusted_rand_index
 from opgd.optimizer import OptimConfig
 
@@ -287,6 +287,29 @@ class TestFitGmmEm:
             _, trace = fit_gmm_em(X, 3, ClusterConfig(seed=1, em_max_iters=3),
                                   return_trace=True)
         assert len(trace) == 4
+
+    def test_cap_returns_the_mixture_of_its_last_e_step(self):
+        """At the cap the last trace entry is the log-likelihood of the
+        returned mixture: no M-step follows the last E-step."""
+        X, _ = _three_blobs(1, delta=2.0)
+        config = ClusterConfig(seed=1, em_max_iters=3)
+        with pytest.warns(UserWarning, match="at its cap of 3 "):
+            gmm, trace = fit_gmm_em(X, 3, config, return_trace=True)
+        joint = np.log(gmm.weights)[None, :] + np.column_stack([
+            multivariate_normal.logpdf(X, mean=m, cov=S)
+            for m, S in zip(gmm.means, gmm.covariances)])
+        assert trace[-1] == pytest.approx(logsumexp(joint, axis=1).sum(),
+                                          rel=1e-12)
+
+    def test_leaves_the_data_unchanged(self):
+        X, _ = _three_blobs(2)
+        before = X.copy()
+        fit_gmm_em(X, 3, ClusterConfig(seed=2))
+        np.testing.assert_array_equal(X, before)
+
+    def test_data_without_columns_is_a_data_error(self):
+        with pytest.raises(DataError, match="no columns"):
+            fit_gmm_em(np.empty((4, 0)), 2)
 
     def test_converged_fit_and_enhancement_do_not_warn(self):
         X, _ = _three_blobs(0, p_extra=1)
@@ -580,6 +603,15 @@ class TestDiagEm:
             got = _diag_em(X, *start, ClusterConfig(em_max_iters=3))
         assert len(got[4]) == 4
 
+    def test_leaves_the_callers_arrays_unchanged(self):
+        """The warm start is copied before the first M-step writes the
+        new parameters."""
+        X, start = self._start()
+        before = [a.copy() for a in (X, *start)]
+        _diag_em(X, *start, ClusterConfig())
+        for got, want in zip((X, *start), before):
+            np.testing.assert_array_equal(got, want)
+
     def test_cap_returns_the_mixture_of_its_last_e_step(self):
         """At the cap the responsibilities, and so the labels, are those
         of the returned mixture: no M-step follows the last E-step."""
@@ -701,6 +733,12 @@ class TestPcaPrefilter:
         for threshold in (0.0, 1.5):
             with pytest.raises(ConfigError):
                 pca_prefilter(np.eye(3), threshold)
+
+    def test_data_without_variance_is_a_data_error(self):
+        """No component could be kept, and the mixture fit after it
+        would have no columns."""
+        with pytest.raises(DataError, match="no column varies"):
+            pca_prefilter(np.tile([1.0, 2.0], (4, 1)), 0.99)
 
     def test_collinear_pair_reduced(self):
         """A 0.9999-correlated pair loses its difference direction."""

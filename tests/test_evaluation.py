@@ -263,6 +263,14 @@ class TestGridSearch:
         if errs[0.0] <= errs[1.0]:
             assert res.best_hyper == 0.0
 
+    @pytest.mark.parametrize("method, grid, want", [
+        ("rda", [0.0, 0.0, 1.0], [0.0, 1.0]),
+        ("lda", [2, 1, 2.0], [1, 2])])
+    def test_repeated_grid_value_is_fitted_once(self, method, grid, want):
+        ds = _planted_dataset(13, n_per=40)
+        res = grid_search(method, grid, ds, make_split(ds.n, seed=13))
+        assert [h for h, _ in res.val_errors] == want
+
     def test_failed_grid_points_recorded(self):
         """r beyond K - 1 fails for reduced-rank discriminant features
         but the search carries on with the valid points."""
