@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Dataset, ScatterMatrices, check_projection, \
-    compute_scatter, estimate_class_model, sphere, symmetrize
+from .core import ConfigError, DataError, Dataset, ScatterMatrices, \
+    check_projection, compute_scatter, estimate_class_model, sphere, \
+    symmetrize
 from .objective import ClampStats, component_logsumexp, diag_log_densities, \
     full_gaussian_log_densities, projected_variances
 from .optimizer import OptimConfig, _normalize_columns, discriminant_directions, \
@@ -33,6 +34,15 @@ def _label_names(label_names, K: int) -> tuple[str, ...]:
     if len(names) != K:
         raise ConfigError(f"{len(names)} label names for {K} classes")
     return names
+
+
+def _two_classes(train: Dataset) -> Dataset:
+    """``train``, unless its labels name one class: a classifier has
+    nothing to tell apart there, a ``DataError``."""
+    if train.K == 1:
+        raise DataError("a classifier needs at least two classes; the "
+                        "training data has one")
+    return train
 
 
 def _as_matrix(X, p: int):
@@ -100,7 +110,7 @@ def fit_opgd(train: Dataset, dim: int, config: OptimConfig | None = None,
     likelihood ordering of the columns, parameter freeze.
     """
     config = config if config is not None else OptimConfig()
-    model = estimate_class_model(train)
+    model = estimate_class_model(_two_classes(train))
     names = _label_names(label_names, model.K)
     if not 1 <= dim <= model.p:
         raise ConfigError(f"dim must lie in [1, {model.p}], got {dim}")
@@ -180,7 +190,7 @@ def lda_fit(train: Dataset, r: int, ridge_frac: float = 1e-6,
             label_names=None) -> LdaModel:
     """Reduced-rank LDA: project onto ``r`` discriminant directions and
     classify with the shared pooled covariance there."""
-    model = estimate_class_model(train)
+    model = estimate_class_model(_two_classes(train))
     scatter = compute_scatter(train, model)
     V = lda_features(scatter, r, n_classes=model.K, ridge_frac=ridge_frac)
     return LdaModel(projection=V,
@@ -243,7 +253,7 @@ class SaveModel:
 
 def save_fit(train: Dataset, r: int, label_names=None) -> SaveModel:
     """SAVE features plus a quadratic Gaussian read-out in the subspace."""
-    V = save_features(train, r)
+    V = save_features(_two_classes(train), r)
     proj = Dataset(train.X @ V, train.labels)
     model = estimate_class_model(proj)
     return SaveModel(projection=V, means=model.means,
@@ -282,7 +292,7 @@ def rda_fit(train: Dataset, alpha: float, label_names=None) -> RdaModel:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    model = estimate_class_model(train)
+    model = estimate_class_model(_two_classes(train))
     scatter = compute_scatter(train, model)
     blended = alpha * model.covariances + (1.0 - alpha) * scatter.within
     return RdaModel(alpha=float(alpha), means=model.means, covariances=blended,

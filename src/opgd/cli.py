@@ -37,8 +37,8 @@ from .classifier import LdaModel, OpgdModel, RdaModel, SaveModel, fit_opgd, \
     save_fit, save_predict
 from .clustering import ClusterConfig, GmmModel, enhance_gmm, fit_gmm_em, \
     gradient_check, hard_labels, pca_prefilter
-from .core import ConfigError, DataError, Dataset, NumericalError, \
-    estimate_class_model
+from .core import NAMED_FAILURES, ConfigError, DataError, Dataset, \
+    NumericalError, estimate_class_model, exit_code
 from .evaluation import adjusted_rand_index, default_grid, grid_search, \
     make_folds, make_split, misclassification_error, \
     normalized_mutual_information
@@ -542,7 +542,7 @@ def _fit_model(args, ing, opt: OptimConfig):
     if args.method == "opgd":
         return fit_opgd(ds, args.dim, opt, label_names=names)
     if args.method == "lda":
-        return lda_fit(ds, args.dim, label_names=names)
+        return lda_fit(ds, args.dim, opt.ridge_frac, label_names=names)
     if args.method == "save":
         return save_fit(ds, args.dim, label_names=names)
     return rda_fit(ds, args.alpha, label_names=names)
@@ -610,6 +610,10 @@ def cmd_features(args) -> int:
 
 def cmd_cluster(args) -> int:
     opt, ing, params = _ingest(args)
+    X = ing.dataset.X
+    if not np.any(X.max(axis=0) > X.min(axis=0)):
+        raise DataError("no column varies: every row is the same point, so "
+                        "there is nothing to cluster")
     gmm = None
     if args.init_gmm:
         gmm, _ = _read_model(args.init_gmm)
@@ -623,7 +627,7 @@ def cmd_cluster(args) -> int:
         "cluster", args.data, args.seed, clusters=args.clusters, dim=args.dim,
         lam=args.lam, pca_threshold=args.pca_threshold,
         init_gmm=args.init_gmm, **params)
-    X, basis = ing.dataset.X, None
+    basis = None
     if args.pca_threshold is not None:
         X, basis = pca_prefilter(X, args.pca_threshold)
     cc = ClusterConfig(lam=args.lam, seed=args.seed)
@@ -720,7 +724,7 @@ def cmd_evaluate(args) -> int:
             test_err = _fmt(misclassification_error(pred, test_labels))
         rows.append([method, str(result.best_hyper), _fmt(chosen), test_err])
         for h, msg in result.failures:
-            print(f"note\t{method} grid point {h} failed: {msg}",
+            print(f"warning: {method} grid point {h} failed: {msg}",
                   file=sys.stderr)
     _write_table(args.out, manifest.manifest_id,
                  ["method", "hyper", "val_error", "test_error"], rows)
@@ -876,15 +880,9 @@ def main(argv=None) -> int:
     warnings.formatwarning = _format_warning
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except NAMED_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exit_code(exc)
     finally:
         warnings.formatwarning = default_format
 

@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import ConfigError, DataError, Dataset, _readonly, \
+from .core import ConfigError, DataError, Dataset, GmmModel, \
     check_projection, estimate_class_model, scatter_from_responsibilities, \
-    symmetrize, variance_floors
+    symmetrize
 # ``log_densities`` is imported only for perfbench's tracer, which wraps it
 # here.
 from .objective import _BLOCK_ENTRIES, LOG_2PI, GradientWorkspace, \
@@ -64,39 +63,8 @@ from .objective import _BLOCK_ENTRIES, LOG_2PI, GradientWorkspace, \
     full_gaussian_log_densities, grad_objective, \
     grad_weighted_log_densities, log_densities, \
     projected_variances  # noqa: F401
-from .optimizer import OptimConfig, ascend, init_projection
-
-
-@dataclass(frozen=True)
-class GmmModel:
-    """Gaussian mixture parameters (weights on the simplex, full PD
-    covariances after the estimation floor), held read-only."""
-
-    weights: np.ndarray       # (K,)
-    means: np.ndarray         # (K, p)
-    covariances: np.ndarray   # (K, p, p)
-
-    def __post_init__(self):
-        for name in ("weights", "means", "covariances"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    @property
-    def K(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.means.shape[1]
-
-    @cached_property
-    def log_weights(self):
-        """``log(weights)``, computed once."""
-        return _readonly(np.log(self.weights))
-
-    @cached_property
-    def floors(self):
-        """:func:`variance_floors` of the covariances, computed once."""
-        return _readonly(variance_floors(self.covariances))
+from .optimizer import OptimConfig, ascend, init_projection, \
+    reuse_workspace
 
 
 @dataclass(frozen=True)
@@ -546,10 +514,8 @@ def enhance_gmm(X, gmm: GmmModel, dim: int, config: ClusterConfig | None = None,
     projection, the 1-based maximum-responsibility labels, and the
     re-estimated projected mixture (diagonal covariances).
 
-    As in :func:`~opgd.optimizer.maximize`, each value request builds a
-    workspace and keeps the last one; :func:`ascend` asks for the
-    gradient only at the point it just valued, so the gradient reads
-    that workspace instead of evaluating the mixture again.
+    The gradient reads the workspace of the value at its point (see
+    :func:`~opgd.optimizer.reuse_workspace`).
     """
     config = config if config is not None else ClusterConfig()
     opt = opt if opt is not None else OptimConfig()
@@ -564,18 +530,10 @@ def enhance_gmm(X, gmm: GmmModel, dim: int, config: ClusterConfig | None = None,
     V0 = init_projection(scatter, dim, opt)
     V0 = np.linalg.qr(V0)[0]
 
-    last = {}
-
-    def value(M):
-        last["V"] = np.array(M, dtype=float)
-        last["ws"] = build_workspace(X, last["V"], gmm)
-        return cluster_objective(X, last["V"], gmm, lam, workspace=last["ws"])
-
-    def grad(M):
-        ws = last["ws"] if "V" in last and np.array_equal(M, last["V"]) \
-            else None
-        return grad_cluster_objective(X, M, gmm, lam, workspace=ws)
-
+    value, grad = reuse_workspace(
+        lambda M: build_workspace(X, M, gmm),
+        lambda M, ws: cluster_objective(X, M, gmm, lam, workspace=ws),
+        lambda M, ws: grad_cluster_objective(X, M, gmm, lam, workspace=ws))
     V, _ = ascend(value, grad, V0, opt, scale=float(n))
 
     Z = X @ V

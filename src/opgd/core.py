@@ -23,15 +23,20 @@ VARIANCE_FLOOR_FRAC = 1e-12
 
 
 class OpgdError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package. Each kind carries
+    the code the command line exits with when it ends a run."""
 
 
 class ConfigError(OpgdError):
     """Invalid configuration or arguments."""
 
+    exit_code = 2
+
 
 class DataError(OpgdError):
     """Invalid or unusable input data."""
+
+    exit_code = 3
 
 
 class DegenerateClassError(DataError):
@@ -41,6 +46,8 @@ class DegenerateClassError(DataError):
 class NumericalError(OpgdError):
     """A numerical procedure failed."""
 
+    exit_code = 4
+
 
 class CollinearityError(NumericalError):
     """The data covariance is (numerically) singular.
@@ -49,6 +56,20 @@ class CollinearityError(NumericalError):
     :func:`opgd.clustering.pca_prefilter` removes the offending
     directions.
     """
+
+
+# The failures whose cause has a name: the package's own kinds and numpy's
+# LinAlgError, a numerical failure. Anything else is a bug.
+NAMED_FAILURES = (ConfigError, DataError, NumericalError,
+                  np.linalg.LinAlgError)
+
+
+def exit_code(exc) -> int:
+    """The exit code of a failure in :data:`NAMED_FAILURES`: 2 for
+    configuration, 3 for data, 4 for numerical failures."""
+    if isinstance(exc, np.linalg.LinAlgError):
+        return NumericalError.exit_code
+    return exc.exit_code
 
 
 def _readonly(a):
@@ -129,29 +150,27 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class GaussianClassModel:
-    """Per-class priors, means and full input-space covariances.
+class GmmModel:
+    """Gaussian mixture parameters (weights on the simplex, full PD
+    covariances after the estimation floor), held read-only.
 
-    ``priors[k-1] = n_k / n`` exactly; ``covariances[k-1]`` is the
-    maximum-likelihood estimate (divisor ``n_k``), symmetrized.
+    The one model both ascents project (see :mod:`opgd.objective`): a
+    fitted mixture's components, or, as a :class:`GaussianClassModel`,
+    the classes weighted by their priors.
     """
 
-    priors: np.ndarray        # (K,)
+    weights: np.ndarray       # (K,)
     means: np.ndarray         # (K, p)
     covariances: np.ndarray   # (K, p, p)
-    counts: np.ndarray        # (K,) integer class sizes
 
     def __post_init__(self):
-        object.__setattr__(self, "priors", _readonly(self.priors))
+        object.__setattr__(self, "weights", _readonly(self.weights))
         object.__setattr__(self, "means", _readonly(np.atleast_2d(self.means)))
         object.__setattr__(self, "covariances", _readonly(self.covariances))
-        counts = np.asarray(self.counts, dtype=int)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
 
     @property
     def K(self) -> int:
-        return self.priors.shape[0]
+        return self.weights.shape[0]
 
     @property
     def p(self) -> int:
@@ -159,15 +178,37 @@ class GaussianClassModel:
 
     @cached_property
     def log_weights(self):
-        """``log(priors)``, the log weights of the class mixture,
-        computed once."""
-        return _readonly(np.log(self.priors))
+        """``log(weights)``, computed once."""
+        return _readonly(np.log(self.weights))
 
     @cached_property
     def floors(self):
-        """:func:`variance_floors` of the class covariances, computed
-        once."""
+        """:func:`variance_floors` of the covariances, computed once."""
         return _readonly(variance_floors(self.covariances))
+
+
+@dataclass(frozen=True)
+class GaussianClassModel(GmmModel):
+    """The class mixture: per-class priors, means and full input-space
+    covariances, and the integer class sizes.
+
+    ``weights[k-1] = priors[k-1] = n_k / n`` exactly;
+    ``covariances[k-1]`` is the maximum-likelihood estimate (divisor
+    ``n_k``), symmetrized.
+    """
+
+    counts: np.ndarray        # (K,) integer class sizes
+
+    def __post_init__(self):
+        super().__post_init__()
+        counts = np.asarray(self.counts, dtype=int)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def priors(self):
+        """The class priors, which are the mixture's weights."""
+        return self.weights
 
 
 def variance_floors(covariances):
@@ -234,9 +275,8 @@ def estimate_class_model(dataset: Dataset) -> GaussianClassModel:
         means[k] = Xk.mean(axis=0)
         D = Xk - means[k]
         covs[k] = symmetrize(D.T @ D / counts[k])
-    priors = counts / n
-    return GaussianClassModel(priors=priors, means=means, covariances=covs,
-                              counts=counts)
+    return GaussianClassModel(weights=counts / n, means=means,
+                              covariances=covs, counts=counts)
 
 
 def compute_scatter(dataset: Dataset, model: GaussianClassModel) -> ScatterMatrices:

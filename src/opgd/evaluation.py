@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, DataError, Dataset
-from .classifier import fit_opgd, lda_fit, lda_predict, predict as opgd_predict, \
-    rda_fit, rda_predict, save_fit, save_predict
+from .core import NAMED_FAILURES, ConfigError, DataError, Dataset, \
+    NumericalError, exit_code
+from .classifier import _two_classes, fit_opgd, lda_fit, lda_predict, \
+    predict as opgd_predict, rda_fit, rda_predict, save_fit, save_predict
 from .optimizer import OptimConfig
 
 METHODS = ("opgd", "lda", "rda", "save")
@@ -179,7 +180,8 @@ def _fit_method(method: str, train: Dataset, hyper,
     if method == "opgd":
         return fit_opgd(train, hyper, opt_config, V0=V0)
     if method == "lda":
-        return lda_fit(train, hyper)
+        config = opt_config if opt_config is not None else OptimConfig()
+        return lda_fit(train, hyper, config.ridge_frac)
     if method == "rda":
         return rda_fit(train, hyper)
     if method == "save":
@@ -215,6 +217,11 @@ class GridSearchResult:
     failures: tuple = ()         # (hyper, message) for failed points
 
 
+# an error kind by the exit code it carries
+_ERROR_OF_CODE = {kind.exit_code: kind
+                  for kind in (ConfigError, DataError, NumericalError)}
+
+
 def _subset(dataset: Dataset, idx) -> Dataset:
     return Dataset(dataset.X[idx], dataset.labels[idx])
 
@@ -229,9 +236,14 @@ def grid_search(method: str, grid, train: Dataset, plan,
     on it, refit on everything). Ties go to the smallest hyper-parameter;
     dimensions are integers (``2.0`` is one), ``rda``'s blends floats,
     and a value the grid repeats is fitted once.
-    Grid points whose fit raises are recorded and skipped; only a fully
-    failed grid raises. On a split, the ``opgd`` refit is warm-started
-    from the winning validation model's projection.
+    Data with one class, or a training part without some class, is a
+    ``DataError``, raised before any fit. Grid points whose fit raises
+    a named failure (see :data:`~opgd.core.NAMED_FAILURES`) are
+    recorded and skipped; only a fully failed grid raises, with the kind
+    of error its failures share (a ``ConfigError`` when their kinds
+    differ), naming their cause once when they share one. On a split,
+    the ``opgd`` refit is warm-started from the winning validation
+    model's projection.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -250,9 +262,19 @@ def grid_search(method: str, grid, train: Dataset, plan,
     else:
         pairs = [plan.fold_indices(fold) for fold in range(plan.k)]
         refit = train
+    _two_classes(train)
+    for part, (fit_rows, _) in enumerate(pairs):
+        missing = np.setdiff1d(np.arange(1, train.K + 1),
+                               train.labels[fit_rows])
+        if missing.size:
+            where = "the split's training rows" if len(pairs) == 1 \
+                else f"the training rows of fold {part}"
+            raise DataError(f"{where} hold no observation of class "
+                            f"{', '.join(map(str, missing.tolist()))}")
 
     val_errors = []
     failures = []
+    codes = set()
     projections = {}
     for h in grid:
         wrong = n_scored = 0
@@ -263,8 +285,9 @@ def grid_search(method: str, grid, train: Dataset, plan,
                 pred = _predict_method(method, fit, train.X[score_rows])
                 wrong += int(np.sum(pred != train.labels[score_rows]))
                 n_scored += len(score_rows)
-        except (DataError, ConfigError, np.linalg.LinAlgError) as exc:
+        except NAMED_FAILURES as exc:
             failures.append((h, str(exc)))
+            codes.add(exit_code(exc))
             val_errors.append((h, None))
             continue
         if method == "opgd" and len(pairs) == 1:
@@ -273,8 +296,11 @@ def grid_search(method: str, grid, train: Dataset, plan,
 
     scored = [(h, e) for h, e in val_errors if e is not None]
     if not scored:
-        raise ConfigError("every grid point failed: " +
-                          "; ".join(f"{h}: {m}" for h, m in failures))
+        code = codes.pop() if len(codes) == 1 else ConfigError.exit_code
+        reasons = {m for _, m in failures}
+        raise _ERROR_OF_CODE[code]("every grid point failed: " + (
+            reasons.pop() if len(reasons) == 1
+            else "; ".join(f"{h}: {m}" for h, m in failures)))
     best_hyper = min(scored, key=lambda he: (he[1], he[0]))[0]
     model = _fit_method(method, refit, best_hyper, opt_config,
                         V0=projections.get(best_hyper))

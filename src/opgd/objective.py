@@ -305,13 +305,12 @@ def build_workspace(X, V, model, label_index=None,
     """Evaluate the projected mixture of ``model`` on the rows of ``X`` at
     one projection, counting variance clamps into ``clamp``.
 
-    ``model`` supplies ``means``, ``covariances``, ``floors`` (see
-    :func:`~opgd.core.variance_floors`) and ``log_weights``: a
-    :class:`~opgd.core.GaussianClassModel` or a
-    :class:`~opgd.clustering.GmmModel`. ``label_index`` picks each
-    observation's own component from a ``(K, n)`` array (see
-    :attr:`~opgd.core.Dataset.label_index`); with it the workspace holds
-    the log-likelihood. ``V`` must already be a valid ``p x p'``
+    ``model`` is a :class:`~opgd.core.GmmModel`, such as the class
+    mixture :class:`~opgd.core.GaussianClassModel`; its ``floors`` (see
+    :func:`~opgd.core.variance_floors`) and ``log_weights`` are cached
+    on it. ``label_index`` picks each observation's own component from
+    a ``(K, n)`` array (see :attr:`~opgd.core.Dataset.label_index`);
+    with it the workspace holds the log-likelihood. ``V`` must already be a valid ``p x p'``
     projection (see :func:`~opgd.core.check_projection`); the public
     callers check it, and an ascent checks its start once.
     """

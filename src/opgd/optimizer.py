@@ -298,20 +298,43 @@ def ascend(value_fn, grad_fn, V0, config: OptimConfig, scale: float = 1.0):
     return V, np.asarray(trace)
 
 
+def reuse_workspace(build, value, grad):
+    """The ``(value_fn, grad_fn)`` pair :func:`ascend` takes, sharing one
+    workspace per point.
+
+    ``build(V)`` evaluates the model at ``V`` into a workspace, such as
+    a :class:`~opgd.objective.GradientWorkspace`; ``value(V, ws)`` and
+    ``grad(V, ws)`` read the objective and its gradient from it. Each
+    value call builds a workspace and keeps the last one. :func:`ascend`
+    asks for the gradient only at the point it has just valued, so the
+    gradient reuses that workspace instead of evaluating the model
+    again, and a rejected trial point never forms a gradient; at any
+    other point the gradient builds its own.
+    """
+    last = {}
+
+    def value_fn(V):
+        last["V"] = V = np.array(V, dtype=float)
+        last["ws"] = build(V)
+        return value(V, last["ws"])
+
+    def grad_fn(V):
+        same = "V" in last and np.array_equal(V, last["V"])
+        return grad(V, last["ws"] if same
+                    else build(np.asarray(V, dtype=float)))
+
+    return value_fn, grad_fn
+
+
 def maximize(dataset: Dataset, model: GaussianClassModel, V0,
              config: OptimConfig | None = None,
              clamp: ClampStats | None = None):
     """Maximize the classification log-likelihood over projections.
 
     ``V0`` is checked once; the ascent's iterates are not checked again.
-    Each value call builds a :class:`~opgd.objective.GradientWorkspace`
-    (``Sigma_k V``, projected variances and differences, log joint,
-    log-likelihood) and keeps the last one. :func:`ascend` asks for the
-    gradient only at the point it just valued, so the gradient reuses
-    that workspace, and forms its posteriors, instead of evaluating the
-    densities again; a rejected trial point never forms them. At any
-    other point it builds its own. An accepted point's clamps are
-    therefore counted once.
+    The gradient reads the workspace of the value at its point (see
+    :func:`reuse_workspace`), so an accepted point's clamps are counted
+    once.
 
     Returns ``(V, trace)``; see :func:`ascend` for the trace contract.
     """
@@ -319,22 +342,12 @@ def maximize(dataset: Dataset, model: GaussianClassModel, V0,
         raise ValueError("a labeled dataset is required")
     config = config if config is not None else OptimConfig()
     V0 = check_projection(V0, model.p)
-    last = {}
-
-    def value(V):
-        last["V"] = np.array(V, dtype=float)
-        last["ws"] = build_workspace(dataset.X, last["V"], model,
-                                     dataset.label_index, clamp)
-        return last["ws"].log_likelihood
-
-    def grad(V):
-        if "V" in last and np.array_equal(V, last["V"]):
-            ws = last["ws"]
-        else:
-            ws = build_workspace(dataset.X, np.asarray(V, dtype=float), model,
-                                 clamp=clamp)
-        return grad_ell1(dataset, V, model, ws) - grad_ell2(dataset, V, model, ws)
-
+    value, grad = reuse_workspace(
+        lambda V: build_workspace(dataset.X, V, model, dataset.label_index,
+                                  clamp),
+        lambda V, ws: ws.log_likelihood,
+        lambda V, ws: grad_ell1(dataset, V, model, ws)
+        - grad_ell2(dataset, V, model, ws))
     return ascend(value, grad, V0, config, scale=float(dataset.n))
 
 

@@ -1,5 +1,7 @@
 """Tests for ingestion, manifests, model files and the command line."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from opgd.cli import (
 from opgd.classifier import LdaModel, OpgdModel, RdaModel, SaveModel, \
     fit_opgd, lda_fit, rda_fit, save_fit
 from opgd.clustering import ClusterConfig, GmmModel, fit_gmm_em
-from opgd.core import ConfigError, DataError, Dataset
+from opgd.core import ConfigError, DataError, Dataset, estimate_class_model
 from opgd.optimizer import OptimConfig
 
 
@@ -934,6 +936,186 @@ def test_degenerate_table_ends_in_one_named_error(tmp_path, capsys, table,
     assert all(line.startswith("warning: ") for line in lines[:-1])
     assert lines[-1].startswith("error: ")
     assert not any(text in lines[-1] for text in _NUMPY_TEXT)
+
+
+def _main_as_console(argv):
+    """``main(argv)`` with every warning printed to stderr as under the
+    console script."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category,
+                                                filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        return main(argv)
+
+
+def _table(header, X, y):
+    return header + "\n" + "".join(
+        ",".join(map(repr, row)) + f",{lab}\n"
+        for row, lab in zip(np.asarray(X).tolist(), np.asarray(y).tolist()))
+
+
+_rng = np.random.default_rng(20)
+_a = _rng.standard_normal((60, 2))
+# column b is 2a, so SAVE's sphering fails at every grid point
+_COLLINEAR = _table("a,b,c,y", np.column_stack([_a[:, 0], 2 * _a[:, 0],
+                                                _a[:, 1]]),
+                    np.repeat([1, 2, 3], 20))
+_ONE_CLASS = _table("a,b,c,y", _rng.standard_normal((20, 3)), np.ones(20))
+# class 3 is all of group 3, so the training rows of its fold lack it
+_GROUPED = _table("a,b,g,y", np.column_stack(
+    [_rng.standard_normal((30, 2)), np.repeat([1, 2, 3], 10)]),
+    np.r_[np.tile([1, 2], 10), np.full(10, 3)])
+# class 3 has two rows, so the training rows of a split hold at most one
+_PAIR_CLASS = _table("a,b,y", _rng.standard_normal((22, 2)),
+                     np.r_[np.tile([1, 2], 10), 3, 3])
+_ONE_CLASS_ERROR = "error: a classifier needs at least two classes"
+_NO_VARIANCE_ERROR = "error: no column varies: every row is the same point"
+
+
+@pytest.mark.parametrize("table, argv, rc, error", [
+    (_COLLINEAR, ["evaluate", "--labels", "y", "--method", "rda,lda,save"],
+     4, "error: every grid point failed: total covariance is numerically "
+        "singular"),
+    (_ONE_CLASS, ["fit", "--labels", "y", "--method", "opgd"], 3,
+     _ONE_CLASS_ERROR),
+    (_ONE_CLASS, ["fit", "--labels", "y", "--method", "rda"], 3,
+     _ONE_CLASS_ERROR),
+    (_ONE_CLASS, ["fit", "--labels", "y", "--method", "save"], 3,
+     _ONE_CLASS_ERROR),
+    (_ONE_CLASS, ["fit", "--labels", "y", "--method", "lda", "--dim", "1"],
+     3, _ONE_CLASS_ERROR),
+    (_ONE_CLASS, ["features", "--labels", "y"], 3, _ONE_CLASS_ERROR),
+    (_ONE_CLASS, ["evaluate", "--labels", "y", "--method",
+                  "opgd,lda,rda,save"], 3, _ONE_CLASS_ERROR),
+    (_CONSTANT, ["cluster", "--clusters", "2"], 3, _NO_VARIANCE_ERROR),
+    (_CONSTANT, ["cluster", "--clusters", "2", "--pca-threshold", "0.99"],
+     3, _NO_VARIANCE_ERROR),
+    (_CONSTANT, ["cluster", "--clusters", "2", "--init-gmm", "{gmm}"], 3,
+     _NO_VARIANCE_ERROR),
+    (_GROUPED, ["evaluate", "--labels", "y", "--method", "rda", "--folds",
+                "3", "--group", "g"], 3,
+     "error: the training rows of fold 0 hold no observation of class 3"),
+    (_PAIR_CLASS, ["evaluate", "--labels", "y", "--method", "rda"], 3,
+     "error: every grid point failed: class 3 has 1 observation(s)"),
+], ids=["collinear-evaluate-save", "one-class-fit-opgd", "one-class-fit-rda",
+        "one-class-fit-save", "one-class-fit-lda", "one-class-features",
+        "one-class-evaluate", "constant-cluster", "constant-cluster-pca",
+        "constant-cluster-init-gmm", "fold-without-class-evaluate",
+        "split-with-one-row-of-class-evaluate"])
+def test_failure_ends_with_the_code_of_its_cause(tmp_path, capsys, table,
+                                                 argv, rc, error):
+    """A degenerate table ends with the exit code of its cause and one
+    ``error:`` line naming it, after any ``warning:`` lines: one class
+    is a data error for every classifier, a table where no column varies
+    is one for ``cluster`` on every path, a training part without a
+    class is one before any fit, and a fully failed grid ends with the
+    code its failures share."""
+    data = _write(tmp_path / "d.csv", table)
+    gmm = GmmModel(weights=[0.5, 0.5], means=[[1.0, 2.0], [1.5, 2.5]],
+                   covariances=np.stack([np.eye(2)] * 2))
+    init = _write(tmp_path / "init.gmm", serialize_model(gmm, "0" * 16))
+    argv = [arg.replace("{gmm}", init) for arg in argv]
+    out = tmp_path / "out"
+    assert _main_as_console([argv[0], "--data", data, *argv[1:],
+                             "--out", str(out)]) == rc
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("warning: ") for line in lines[:-1])
+    assert lines[-1].startswith(error)
+    assert not out.exists()
+
+
+def test_class_model_has_no_model_file():
+    """The class model is a mixture, but only a fitted mixture has a
+    model file."""
+    ds = Dataset(np.random.default_rng(22).standard_normal((10, 2)),
+                 np.repeat([1, 2], 5))
+    with pytest.raises(ConfigError,
+                       match="cannot serialize GaussianClassModel"):
+        serialize_model(estimate_class_model(ds))
+
+
+def test_lda_fits_with_the_ridge_of_the_run(tmp_path):
+    """``--ridge`` reaches the LDA fit: on anisotropic classes the model
+    body moves with it."""
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((40, 2)) * [3.0, 0.3] + \
+        np.repeat([[0.0, 0.0], [1.0, 1.0]], 20, axis=0)
+    data = _write(tmp_path / "d.csv", _table("a,b,y", X, np.repeat([1, 2],
+                                                                    20)))
+    bodies = []
+    for ridge in ("1e-6", "0.5"):
+        out = tmp_path / f"m{ridge}.lda"
+        assert main(["fit", "--data", data, "--labels", "y", "--method",
+                     "lda", "--dim", "1", "--ridge", ridge,
+                     "--out", str(out)]) == 0
+        bodies.append(out.read_text(encoding="utf-8").split("\n", 3)[3])
+    assert bodies[0] != bodies[1]
+    model, _ = parse_model(out.read_text(encoding="utf-8"))
+    want = lda_fit(ingest_csv(data, label_column="y").dataset, 1, 0.5)
+    np.testing.assert_array_equal(model.projection, want.projection)
+
+
+@st.composite
+def _degenerate_tables(draw):
+    """Small labeled tables with duplicate rows, constant or collinear
+    columns, 1-4 classes, classes of one row, at a scale of 1e-8, 1 or
+    1e8."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = sum(sizes)
+    X = draw(arrays(float, (n, 2),
+                    elements=st.sampled_from([-1.0, 0.0, 1.0, 2.5])))
+    third = draw(st.sampled_from(["constant", "collinear", "free"]))
+    if third == "constant":
+        extra = np.full(n, 3.0)
+    elif third == "collinear":
+        extra = X[:, 0] - 2.0 * X[:, 1]
+    else:
+        extra = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    X = np.column_stack([X, extra]) * scale
+    return _table("a,b,c,y", X, np.repeat(np.arange(1, len(sizes) + 1),
+                                          sizes))
+
+
+_PROPERTY_CALLS = [
+    *(["fit", "--labels", "y", "--method", method, "--dim", "1",
+       "--max-iters", "20"] for method in ("opgd", "lda", "rda", "save")),
+    ["features", "--labels", "y", "--dim", "1", "--max-iters", "20"],
+    ["cluster", "--labels", "y", "--clusters", "2", "--dim", "1",
+     "--max-iters", "20"],
+    ["cluster", "--labels", "y", "--clusters", "2", "--dim", "1",
+     "--max-iters", "20", "--pca-threshold", "0.99"],
+    ["evaluate", "--labels", "y", "--method", "opgd,lda,rda,save",
+     "--max-iters", "20"],
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=_degenerate_tables())
+def test_degenerate_tables_end_in_a_named_exit(tmp_path_factory, table):
+    """Every command on a small degenerate table exits 0, 2, 3 or 4,
+    with only ``warning:`` lines on stderr and at most one ``error:``
+    line after them, which holds no text of a numpy exception."""
+    directory = tmp_path_factory.mktemp("degenerate")
+    data = _write(directory / "d.csv", table)
+    for argv in _PROPERTY_CALLS:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = _main_as_console([argv[0], "--data", data, *argv[1:],
+                                   "--out", str(directory / "out")])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3, 4), (argv, lines)
+        assert "Traceback" not in err.getvalue()
+        if rc:
+            assert lines[-1].startswith("error: "), (argv, lines)
+            assert not any(text in lines[-1] for text in _NUMPY_TEXT)
+            lines = lines[:-1]
+        assert all(line.startswith("warning: ") for line in lines), \
+            (argv, lines)
 
 
 def test_no_scipy_at_run_time(tmp_path):

@@ -9,6 +9,8 @@ from opgd.core import (
     DataError,
     Dataset,
     DegenerateClassError,
+    GaussianClassModel,
+    GmmModel,
     check_projection,
     compute_scatter,
     estimate_class_model,
@@ -82,6 +84,20 @@ class TestEstimateClassModel:
     def test_requires_labels(self):
         with pytest.raises(DataError):
             estimate_class_model(Dataset(X=np.eye(4)))
+
+    def test_is_the_class_mixture_weighted_by_its_priors(self):
+        """The class model is a mixture whose weights are the priors,
+        with the mixture's cached log weights and floors."""
+        ds = _random_labeled(np.random.default_rng(3), n=30, p=3, K=3)
+        model = estimate_class_model(ds)
+        assert isinstance(model, GmmModel)
+        assert type(model) is GaussianClassModel
+        assert model.priors is model.weights
+        np.testing.assert_array_equal(model.log_weights, np.log(model.priors))
+        assert model.log_weights is model.log_weights
+        assert (model.K, model.p) == (3, 3)
+        assert not model.weights.flags.writeable
+        assert not model.counts.flags.writeable
 
     def test_singleton_class_rejected(self):
         X = np.arange(10.0).reshape(5, 2)

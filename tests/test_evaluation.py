@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from opgd.core import ConfigError, DataError, Dataset
+from opgd.classifier import lda_fit
+from opgd.core import ConfigError, DataError, Dataset, NumericalError
 from opgd.evaluation import (
     FoldPlan,
     GridSearchResult,
@@ -286,6 +287,73 @@ class TestGridSearch:
         plan = make_split(ds.n, seed=15)
         with pytest.raises(ConfigError, match="every grid point failed"):
             grid_search("lda", [3, 4], ds, plan)
+
+    @pytest.mark.parametrize("missing", [3, 2], ids=["top", "middle"])
+    def test_training_part_without_a_class_is_a_data_error(self, missing):
+        """Whichever class fold 0's training rows lack, the search stops
+        before any fit with one error naming the fold and the class."""
+        ds = _planted_dataset(18, n_per=30)
+        assignment = np.arange(ds.n) % 3
+        assignment[ds.labels == missing] = 0
+        plan = FoldPlan(assignment=assignment, k=3, seed=0)
+        with pytest.raises(DataError, match=f"fold 0 hold no observation "
+                                            f"of class {missing}$"):
+            grid_search("rda", [0.5], ds, plan)
+
+    def test_one_class_is_a_data_error(self):
+        ds = Dataset(np.random.default_rng(19).standard_normal((20, 2)),
+                     np.ones(20, int))
+        with pytest.raises(DataError, match="at least two classes"):
+            grid_search("rda", [0.5], ds, make_split(ds.n, seed=19))
+
+    @staticmethod
+    def _collinear_dataset():
+        ds = _planted_dataset(20, n_per=30)
+        return Dataset(np.column_stack([ds.X, 2.0 * ds.X[:, 0]]), ds.labels)
+
+    @staticmethod
+    def _one_row_of_class_3_in_training():
+        """A split whose training rows hold one row of class 3."""
+        ds = _planted_dataset(21, n_per=30)
+        train, val, test = np.flatnonzero(ds.labels != 3).reshape(-1, 3).T
+        three = np.flatnonzero(ds.labels == 3)
+        plan = SplitPlan(train=np.r_[train, three[0]],
+                         val=np.r_[val, three[1:15]],
+                         test=np.r_[test, three[15:]],
+                         ratios=(0.4, 0.3, 0.3), seed=0)
+        return ds, plan
+
+    @pytest.mark.parametrize("case, kind, message", [
+        ("numerical", NumericalError, "numerically singular"),
+        ("data", DataError, "class 3 has 1 observation"),
+        ("mixed", ConfigError, "0.5: class 3 has 1 observation"),
+    ])
+    def test_fully_failed_grid_raises_the_kind_its_failures_share(
+            self, case, kind, message):
+        """A numerical failure is recorded like the others; a grid whose
+        every point failed raises the kind of error its failures share,
+        or a ``ConfigError`` when they differ."""
+        if case == "numerical":
+            ds = self._collinear_dataset()
+            args = ("save", [1, 2], ds, make_split(ds.n, seed=20))
+        else:
+            ds, plan = self._one_row_of_class_3_in_training()
+            args = ("rda", [0.5] if case == "data" else [0.5, 2.0], ds,
+                    plan)
+        with pytest.raises(kind, match="every grid point failed") as info:
+            grid_search(*args)
+        assert type(info.value) is kind and message in str(info.value)
+
+    def test_lda_fits_with_the_ridge_of_the_run(self):
+        ds = _planted_dataset(22, n_per=30)
+        plan = make_split(ds.n, seed=22)
+        res = grid_search("lda", [1], ds, plan, OptimConfig(ridge_frac=0.5))
+        refit = Dataset(ds.X[np.r_[plan.train, plan.val]],
+                        ds.labels[np.r_[plan.train, plan.val]])
+        np.testing.assert_array_equal(res.model.projection,
+                                      lda_fit(refit, 1, 0.5).projection)
+        assert not np.array_equal(res.model.projection,
+                                  lda_fit(refit, 1).projection)
 
     def test_unknown_method_rejected(self):
         ds = _planted_dataset(16, n_per=30)

@@ -18,6 +18,7 @@ from opgd.optimizer import (
     init_projection,
     maximize,
     order_columns,
+    reuse_workspace,
 )
 
 
@@ -502,6 +503,24 @@ class TestFusedMaximize:
         _counting_ascend(monkeypatch, {"value": 0, "grad": 0}, probe)
         maximize(ds, model, V0, OptimConfig(max_iters=5))
         np.testing.assert_array_equal(got["G"], grad_objective(ds, V0, model))
+
+
+def test_reuse_workspace_builds_once_per_value():
+    """A gradient at the point just valued reads its workspace; one at
+    any other point builds its own."""
+    built = []
+
+    def build(V):
+        built.append(V.copy())
+        return float(V.sum())
+
+    value, grad = reuse_workspace(build, lambda V, ws: ws,
+                                  lambda V, ws: (ws, V))
+    A, B = np.ones((2, 1)), np.zeros((2, 1))
+    assert value(A) == 2.0 and len(built) == 1
+    assert grad(A)[0] == 2.0 and len(built) == 1
+    assert grad(B)[0] == 0.0 and len(built) == 2
+    assert grad(A)[0] == 2.0 and len(built) == 2
 
 
 def _brute_force_order(ds, V, model):
