@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DataError, Dataset, ScatterMatrices, \
-    check_projection, compute_scatter, estimate_class_model, sphere, \
-    symmetrize
+    check_projection, compute_scatter, estimate_class_model, frozen, \
+    sphere, symmetrize
 from .objective import ClampStats, component_logsumexp, diag_log_densities, \
     full_gaussian_log_densities, projected_variances
 from .optimizer import OptimConfig, _normalize_columns, discriminant_directions, \
@@ -110,8 +110,8 @@ def fit_opgd(train: Dataset, dim: int, config: OptimConfig | None = None,
     likelihood ordering of the columns, parameter freeze.
     """
     config = config if config is not None else OptimConfig()
-    model = estimate_class_model(_two_classes(train))
-    names = _label_names(label_names, model.K)
+    names = _label_names(label_names, _two_classes(train).K)
+    model = estimate_class_model(train, names)
     if not 1 <= dim <= model.p:
         raise ConfigError(f"dim must lie in [1, {model.p}], got {dim}")
     clamp = ClampStats()
@@ -190,14 +190,14 @@ def lda_fit(train: Dataset, r: int, ridge_frac: float = 1e-6,
             label_names=None) -> LdaModel:
     """Reduced-rank LDA: project onto ``r`` discriminant directions and
     classify with the shared pooled covariance there."""
-    model = estimate_class_model(_two_classes(train))
+    names = _label_names(label_names, _two_classes(train).K)
+    model = estimate_class_model(train, names)
     scatter = compute_scatter(train, model)
     V = lda_features(scatter, r, n_classes=model.K, ridge_frac=ridge_frac)
     return LdaModel(projection=V,
                     means=model.means @ V,
                     covariance=symmetrize(V.T @ scatter.within @ V),
-                    priors=model.priors,
-                    label_names=_label_names(label_names, model.K))
+                    priors=model.priors, label_names=names)
 
 
 def lda_predict(model: LdaModel, X):
@@ -212,18 +212,19 @@ def lda_predict(model: LdaModel, X):
 # ---------------------------------------------------------------------------
 # SAVE
 
-def save_features(dataset: Dataset, r: int):
+def save_features(dataset: Dataset, r: int, label_names=None):
     """Sliced average variance estimation directions.
 
     Sphere the data, form ``M = sum_k prior_k (I - Sigma_k)^2`` from the
     sphered class covariances, take the top-``r`` eigenvectors, and map
     them back through the sphering transform. Raises a collinearity
-    error when the total covariance is singular.
+    error when the total covariance is singular, and names a class with
+    too few rows by its entry in ``label_names`` when given.
     """
     if not 1 <= r <= dataset.p:
         raise ConfigError(f"r must lie in [1, {dataset.p}], got {r}")
     sphered, T = sphere(dataset)
-    model = estimate_class_model(sphered)
+    model = estimate_class_model(sphered, label_names)
     eye = np.eye(dataset.p)
     M = np.zeros((dataset.p, dataset.p))
     for k in range(model.K):
@@ -253,12 +254,13 @@ class SaveModel:
 
 def save_fit(train: Dataset, r: int, label_names=None) -> SaveModel:
     """SAVE features plus a quadratic Gaussian read-out in the subspace."""
-    V = save_features(_two_classes(train), r)
-    proj = Dataset(train.X @ V, train.labels)
-    model = estimate_class_model(proj)
+    names = _label_names(label_names, _two_classes(train).K)
+    V = save_features(train, r, names)
+    proj = Dataset(frozen(train.X @ V), train.labels)
+    model = estimate_class_model(proj, names)
     return SaveModel(projection=V, means=model.means,
                      covariances=model.covariances, priors=model.priors,
-                     label_names=_label_names(label_names, model.K))
+                     label_names=names)
 
 
 def save_predict(model: SaveModel, X):
@@ -292,12 +294,12 @@ def rda_fit(train: Dataset, alpha: float, label_names=None) -> RdaModel:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    model = estimate_class_model(_two_classes(train))
+    names = _label_names(label_names, _two_classes(train).K)
+    model = estimate_class_model(train, names)
     scatter = compute_scatter(train, model)
     blended = alpha * model.covariances + (1.0 - alpha) * scatter.within
     return RdaModel(alpha=float(alpha), means=model.means, covariances=blended,
-                    priors=model.priors,
-                    label_names=_label_names(label_names, model.K))
+                    priors=model.priors, label_names=names)
 
 
 def rda_predict(model: RdaModel, X):

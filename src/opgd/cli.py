@@ -42,12 +42,15 @@ from .core import NAMED_FAILURES, ConfigError, DataError, Dataset, \
 from .evaluation import adjusted_rand_index, default_grid, grid_search, \
     make_folds, make_split, misclassification_error, \
     normalized_mutual_information
+from .objective import RidgeWarning
 from .optimizer import OptimConfig
 
 FORMAT_VERSION = "opgd-model-v1"
 MANIFEST_VERSION = "opgd-manifest-v1"
 # tables are formatted and written this many rows at a time
 _BLOCK_ROWS = 4096
+# ingest parses a table in blocks of about this many characters of text
+_BLOCK_CHARS = 1 << 16
 
 
 def _fmt(x) -> str:
@@ -129,9 +132,9 @@ def _cells(path: str, line: str, lineno: int, delim: str) -> list[str]:
 
 
 def _is_data_row(line: str, delim: str) -> bool:
-    """Whether ``line``, a line after the header without its line end,
-    has a cell that is not whitespace. Only a line made of whitespace,
-    delimiters and quotes needs ``csv`` to decide."""
+    """Whether ``line``, a line after the header with or without its
+    line end, has a cell that is not whitespace. Only a line made of
+    whitespace, delimiters and quotes needs ``csv`` to decide."""
     return bool(_CONTENT[delim](line)) or any(
         c.strip() for c in next(csv.reader([line], delimiter=delim), []))
 
@@ -151,24 +154,53 @@ def _is_number(cell: str) -> bool:
 
 
 def _name_fault(path: str, delim: str, header: list[str],
-                feature_idx: list[int]):
-    """Re-read the file and raise the ``DataError`` for the first data
-    row the table reader rejected: an undecodable byte, an open quoted
-    field, a ragged row, or a cell that is not a number, with its file
-    line number and column."""
-    lines = _read_text(path).split("\n")
-    for i in range(1, len(lines)):
-        if not _is_data_row(lines[i], delim):
+                feature_idx: list[int], lines: list[str], lineno: int):
+    """Raise the ``DataError`` for the first faulty row of a block the
+    table reader rejected: an open quoted field, a ragged row, or a cell
+    that is not a number, with its file line number and column.
+    ``lines`` are the block's lines, the first being line ``lineno``."""
+    for i, line in enumerate(lines, lineno):
+        line = line.rstrip("\n")
+        if not _is_data_row(line, delim):
             continue
-        row = _cells(path, lines[i], i + 1, delim)
+        row = _cells(path, line, i, delim)
         if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 1} has {len(row)} fields, "
+            raise DataError(f"{path}: row {i} has {len(row)} fields, "
                             f"expected {len(header)}")
         for j in feature_idx:
             if not _is_number(row[j]):
                 raise DataError(f"{path}: non-numeric value {row[j]!r} at "
-                                f"row {i + 1}, column {header[j]!r}")
+                                f"row {i}, column {header[j]!r}")
     raise DataError(f"{path}: the table could not be parsed")
+
+
+def _row_blocks(fh, delim: str, lines: list[str]):
+    """The data rows left in ``fh``, in blocks of about
+    :data:`_BLOCK_CHARS` characters of text, as ``(rows, lines, lineno,
+    chars)``: the data rows, every line of the block (blank ones too),
+    the file line number of the block's first line and the characters
+    read up to its end. ``lines``, the lines already read after the
+    header, open the first block. A block does not end on a row with an
+    odd number of quotes, as a row whose quoted field is left open has:
+    that row meets the next one, as it would in one read of the whole
+    table."""
+    lineno, chars = 2, 0
+    while True:
+        lines += fh.readlines(_BLOCK_CHARS)
+        rows = [ln for ln in lines if _is_data_row(ln, delim)]
+        if rows and rows[-1].count('"') % 2:
+            for line in iter(fh.readline, ""):
+                lines.append(line)
+                if _is_data_row(line, delim):
+                    rows.append(line)
+                    break
+        if not lines:
+            return
+        chars += sum(map(len, lines))
+        if rows:
+            yield rows, lines, lineno, chars
+        lineno += len(lines)
+        lines = []
 
 
 def ingest_csv(path: str, label_column: str | None = None,
@@ -179,13 +211,16 @@ def ingest_csv(path: str, label_column: str | None = None,
     """Load a delimited numeric table with a header row.
 
     The text is UTF-8 with ``"`` quoting and no field spanning lines;
-    rows whose cells are all whitespace are skipped. The header is read
-    and its columns checked first; then the data rows are streamed from
-    the open file into numpy's C reader, one line at a time. The reader
-    never holds the file's text or a list of its lines: at its peak it
-    holds the parsed table and a C-contiguous copy of its feature
-    columns, and it frees the table before the dataset takes its own
-    copy of those columns.
+    rows whose cells are all whitespace are skipped. The header and the
+    first data row are read and the columns checked first; then the
+    data rows are read in blocks of about :data:`_BLOCK_CHARS`
+    characters, each parsed by numpy's C reader and its feature columns
+    copied into one C-contiguous matrix. The matrix is sized from the
+    file's length and the rows per character read so far, grown in
+    place when the estimate falls short and cut to the rows read at the
+    end. The reader never holds the file's text: at its peak it holds
+    the matrix and one block, and the dataset adopts the matrix without
+    a copy.
 
     The label column (when named) is mapped to contiguous class ids
     1..K, numerically when every value parses as a number, otherwise
@@ -195,22 +230,12 @@ def ingest_csv(path: str, label_column: str | None = None,
     it, and the columns left over are not parsed. Constant feature
     columns are dropped when requested, then an optional i.i.d.
     Gaussian perturbation with per-column sd ``perturb_sd * column_sd``
-    is applied using ``seed``. Faults name the file line number: a table
-    the reader rejects is read again to find the row at fault.
+    is added in place using ``seed``. Faults name the file line number:
+    a block the reader rejects is searched for the row at fault.
     """
     if not (np.isfinite(perturb_sd) and perturb_sd >= 0):
         raise ConfigError("perturb sd fraction must be a finite non-negative "
                           f"number, got {perturb_sd!r}")
-    n_rows = 0
-
-    def data_lines(fh, delim):
-        nonlocal n_rows
-        for line in fh:
-            line = line.rstrip("\n")
-            if _is_data_row(line, delim):
-                n_rows += 1
-                yield line
-
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline().rstrip("\n")
@@ -218,9 +243,12 @@ def ingest_csv(path: str, label_column: str | None = None,
                 raise DataError(f"{path}: empty file")
             delim = _sniff_delimiter(first)
             header = [h.strip() for h in _cells(path, first, 1, delim)]
-            rows = data_lines(fh, delim)
-            first_row = next(rows, None)
-            if first_row is None:
+            lines = []
+            for line in iter(fh.readline, ""):
+                lines.append(line)
+                if _is_data_row(line, delim):
+                    break
+            else:
                 raise DataError(f"{path}: no data rows")
 
             special = {}
@@ -250,35 +278,58 @@ def ingest_csv(path: str, label_column: str | None = None,
             converters.update({
                 j: (lambda s, seen=seen: seen.setdefault(s.strip(), len(seen)))
                 for j, seen in codes.items()})
-            try:
-                A = np.loadtxt(itertools.chain((first_row,), rows),
-                               delimiter=delim, comments=None, quotechar='"',
-                               dtype=float, ndmin=2, converters=converters)
-            except ValueError:      # an undecodable byte is one too
-                A = None
-    except UnicodeDecodeError:      # in the text decoded with the header
+            size = os.fstat(fh.fileno()).st_size
+            X = np.empty((0, len(feature_idx)))
+            code_cols = {role: [] for role in special}
+            n = 0
+            for rows, block, lineno, chars in _row_blocks(fh, delim, lines):
+                try:
+                    A = np.loadtxt(rows, delimiter=delim, comments=None,
+                                   quotechar='"', dtype=float, ndmin=2,
+                                   converters=converters)
+                except ValueError:
+                    A = None
+                if A is None or A.shape != (len(rows), len(header)):
+                    _name_fault(path, delim, header, feature_idx, block,
+                                lineno)
+                end = n + len(A)
+                if end > len(X):
+                    # grow in place to the rows the file holds at the rate
+                    # read so far; rows the estimate adds beyond the last
+                    # are cut at the end. No view of X is alive here.
+                    X.resize((max(end, -(-end * size // chars)), X.shape[1]),
+                             refcheck=False)
+                np.take(A, feature_idx, axis=1, out=X[n:end])
+                for role, j in special.items():
+                    code_cols[role].append(A[:, j].astype(int))
+                n = end
+            X.resize((n, X.shape[1]), refcheck=False)
+    except UnicodeDecodeError:      # a byte anywhere in the file
         _read_text(path)            # raises the DataError naming the file
         raise
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if A is None or A.shape != (n_rows, len(header)):
-        _name_fault(path, delim, header, feature_idx)
-    X = A.take(feature_idx, axis=1)
-    code_cols = {role: A[:, j].astype(int) for role, j in special.items()}
-    del A
+    code_cols = {role: np.concatenate(c) for role, c in code_cols.items()}
 
     feature_names = [header[j] for j in feature_idx]
     dropped: tuple[str, ...] = ()
     if drop_constant:
         varies = X.max(axis=0) > X.min(axis=0)
-        dropped = tuple(nm for nm, v in zip(feature_names, varies) if not v)
-        X = X.compress(varies, axis=1)
-        feature_names = [nm for nm, v in zip(feature_names, varies) if v]
+        if not varies.all():
+            dropped = tuple(nm for nm, v in zip(feature_names, varies)
+                            if not v)
+            X = X.compress(varies, axis=1)
+            feature_names = [nm for nm, v in zip(feature_names, varies) if v]
     if X.shape[1] == 0:
         raise DataError(f"{path}: no feature columns remain")
     if perturb_sd > 0:
         rng = np.random.default_rng(seed)
-        X = X + rng.standard_normal(X.shape) * (perturb_sd * X.std(axis=0))
+        scale = perturb_sd * X.std(axis=0)
+        for lo in range(0, len(X), _BLOCK_ROWS):
+            noise = rng.standard_normal(X[lo:lo + _BLOCK_ROWS].shape)
+            noise *= scale
+            X[lo:lo + _BLOCK_ROWS] += noise
+    X.setflags(write=False)
 
     labels = None
     label_names: tuple[str, ...] = ()
@@ -711,12 +762,13 @@ def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise ConfigError(f"--method names no method: {args.method!r}")
-    model = estimate_class_model(train)
+    model = estimate_class_model(train, ing.label_names)
     rows = []
     for method in methods:
         grid = _parse_grid(args.grid) if args.grid \
             else default_grid(method, train.p, model.K)
-        result = grid_search(method, grid, train, plan, opt_config=opt)
+        result = grid_search(method, grid, train, plan, opt_config=opt,
+                             label_names=ing.label_names)
         chosen = [e for h, e in result.val_errors if h == result.best_hyper][0]
         test_err = ""
         if test_X is not None:
@@ -879,7 +931,12 @@ def main(argv=None) -> int:
     default_format = warnings.formatwarning
     warnings.formatwarning = _format_warning
     try:
-        return args.func(args)
+        # entering resets which warnings were shown, so each run prints
+        # a ridge warning once, however often it meets a singular
+        # covariance, and whatever runs came before it in the process
+        with warnings.catch_warnings():
+            warnings.filterwarnings("default", category=RidgeWarning)
+            return args.func(args)
     except NAMED_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)

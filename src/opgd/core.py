@@ -72,8 +72,22 @@ def exit_code(exc) -> int:
     return exc.exit_code
 
 
-def _readonly(a):
-    a = np.array(a, dtype=float)
+def _readonly(a, dtype=float):
+    """``a`` read-only as ``dtype``: ``a`` itself when it is a read-only
+    C-contiguous ``dtype`` array that views no writable array, else a
+    read-only copy."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None or a.dtype != dtype or not a.flags.c_contiguous:
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
+    return a
+
+
+def frozen(a):
+    """``a``, a fresh array no one else holds, made read-only so that a
+    :class:`Dataset` adopts it without a copy."""
     a.setflags(write=False)
     return a
 
@@ -94,6 +108,12 @@ class Dataset:
         Observations, one per row. Entries must be finite.
     labels : ndarray of int, shape (n,), optional
         Class ids in ``1..K``. Every id in that range must occur.
+
+    Both are kept read-only. An array that is already read-only, of the
+    stored dtype and C-contiguous, and that views no writable array, is
+    kept as it is, without a copy; any other array, a writable one
+    included, is copied. The package hands its own fresh arrays over
+    through :func:`frozen`.
     """
 
     X: np.ndarray
@@ -119,9 +139,7 @@ class Dataset:
             if present.size != K:
                 missing = sorted(set(range(1, K + 1)) - set(present.tolist()))
                 raise DataError(f"label ids {missing} never occur")
-            y = y.copy()
-            y.setflags(write=False)
-            object.__setattr__(self, "labels", y)
+            object.__setattr__(self, "labels", _readonly(y, int))
 
     @property
     def n(self) -> int:
@@ -239,13 +257,17 @@ class ScatterMatrices:
         return self.grand_mean.shape[0]
 
 
-def estimate_class_model(dataset: Dataset) -> GaussianClassModel:
+def estimate_class_model(dataset: Dataset,
+                         label_names=None) -> GaussianClassModel:
     """Estimate priors, class means and MLE class covariances.
 
     Parameters
     ----------
     dataset : Dataset
         Must be labeled, with at least two observations per class.
+    label_names : sequence of str, optional
+        The name of each class id, ``label_names[k - 1]`` for id ``k``;
+        an error names a class by it, or by its id when it is not given.
 
     Returns
     -------
@@ -264,8 +286,10 @@ def estimate_class_model(dataset: Dataset) -> GaussianClassModel:
     counts = np.bincount(y, minlength=K + 1)[1:]
     small = np.nonzero(counts < 2)[0]
     if small.size:
+        k = small[0]
         raise DegenerateClassError(
-            f"class {small[0] + 1} has {counts[small[0]]} observation(s); "
+            f"class {k + 1 if label_names is None else label_names[k]} has "
+            f"{counts[k]} observation(s); "
             "need at least 2 per class"
         )
     means = np.empty((K, p))
@@ -379,4 +403,4 @@ def sphere(dataset: Dataset):
             "columns (--drop-constant removes the constant ones)"
         )
     T = symmetrize(Q @ ((1.0 / np.sqrt(w)) * Q).T)
-    return Dataset(X=D @ T, labels=dataset.labels), T
+    return Dataset(X=frozen(D @ T), labels=dataset.labels), T

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NAMED_FAILURES, ConfigError, DataError, Dataset, \
-    NumericalError, exit_code
-from .classifier import _two_classes, fit_opgd, lda_fit, lda_predict, \
-    predict as opgd_predict, rda_fit, rda_predict, save_fit, save_predict
+    NumericalError, exit_code, frozen
+from .classifier import _label_names, _two_classes, fit_opgd, lda_fit, \
+    lda_predict, predict as opgd_predict, rda_fit, rda_predict, save_fit, \
+    save_predict
 from .optimizer import OptimConfig
 
 METHODS = ("opgd", "lda", "rda", "save")
@@ -176,16 +177,19 @@ def make_folds(n: int, k: int, grouping=None, seed: int = 0) -> FoldPlan:
 
 
 def _fit_method(method: str, train: Dataset, hyper,
-                opt_config: OptimConfig | None, V0=None):
+                opt_config: OptimConfig | None, V0=None, label_names=None):
+    """The ``method`` model fitted to ``train``; ``label_names``, when
+    given, name its classes and the classes its errors name."""
+    named = {} if label_names is None else {"label_names": label_names}
     if method == "opgd":
-        return fit_opgd(train, hyper, opt_config, V0=V0)
+        return fit_opgd(train, hyper, opt_config, V0=V0, **named)
     if method == "lda":
         config = opt_config if opt_config is not None else OptimConfig()
-        return lda_fit(train, hyper, config.ridge_frac)
+        return lda_fit(train, hyper, config.ridge_frac, **named)
     if method == "rda":
-        return rda_fit(train, hyper)
+        return rda_fit(train, hyper, **named)
     if method == "save":
-        return save_fit(train, hyper)
+        return save_fit(train, hyper, **named)
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -223,11 +227,12 @@ _ERROR_OF_CODE = {kind.exit_code: kind
 
 
 def _subset(dataset: Dataset, idx) -> Dataset:
-    return Dataset(dataset.X[idx], dataset.labels[idx])
+    return Dataset(frozen(dataset.X[idx]), frozen(dataset.labels[idx]))
 
 
 def grid_search(method: str, grid, train: Dataset, plan,
-                opt_config: OptimConfig | None = None) -> GridSearchResult:
+                opt_config: OptimConfig | None = None,
+                label_names=None) -> GridSearchResult:
     """Select a hyper-parameter by validation or cross-validation error.
 
     ``plan`` is a :class:`SplitPlan` (fit on its train part, score on
@@ -243,7 +248,9 @@ def grid_search(method: str, grid, train: Dataset, plan,
     of error its failures share (a ``ConfigError`` when their kinds
     differ), naming their cause once when they share one. On a split,
     the ``opgd`` refit is warm-started from the winning validation
-    model's projection.
+    model's projection. Errors name a class by its entry in
+    ``label_names`` when given, else by its id; the models carry the
+    names.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -262,15 +269,15 @@ def grid_search(method: str, grid, train: Dataset, plan,
     else:
         pairs = [plan.fold_indices(fold) for fold in range(plan.k)]
         refit = train
-    _two_classes(train)
+    names = _label_names(label_names, _two_classes(train).K)
     for part, (fit_rows, _) in enumerate(pairs):
         missing = np.setdiff1d(np.arange(1, train.K + 1),
                                train.labels[fit_rows])
         if missing.size:
             where = "the split's training rows" if len(pairs) == 1 \
                 else f"the training rows of fold {part}"
-            raise DataError(f"{where} hold no observation of class "
-                            f"{', '.join(map(str, missing.tolist()))}")
+            raise DataError(f"{where} hold no observation of class " +
+                            ", ".join(names[k - 1] for k in missing.tolist()))
 
     val_errors = []
     failures = []
@@ -281,7 +288,7 @@ def grid_search(method: str, grid, train: Dataset, plan,
         try:
             for fit_rows, score_rows in pairs:
                 fit = _fit_method(method, _subset(train, fit_rows), h,
-                                  opt_config)
+                                  opt_config, label_names=label_names)
                 pred = _predict_method(method, fit, train.X[score_rows])
                 wrong += int(np.sum(pred != train.labels[score_rows]))
                 n_scored += len(score_rows)
@@ -303,7 +310,8 @@ def grid_search(method: str, grid, train: Dataset, plan,
             else "; ".join(f"{h}: {m}" for h, m in failures)))
     best_hyper = min(scored, key=lambda he: (he[1], he[0]))[0]
     model = _fit_method(method, refit, best_hyper, opt_config,
-                        V0=projections.get(best_hyper))
+                        V0=projections.get(best_hyper),
+                        label_names=label_names)
     return GridSearchResult(method=method, best_hyper=best_hyper, model=model,
                             val_errors=tuple(val_errors),
                             failures=tuple(failures))

@@ -93,6 +93,13 @@ from .core import Dataset, GaussianClassModel, NumericalError, \
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+
+class RidgeWarning(UserWarning):
+    """A singular covariance was given a ridge. The message is the same
+    at every call, so a run that meets the cause many times can print
+    it once."""
+
+
 # Rows of the full-covariance product are taken in blocks of at most this
 # many entries (256 KiB), so each block's ``rows x K d`` result stays in
 # a core's cache; the full-space EM's M-step blocks its product alike.
@@ -200,9 +207,10 @@ def full_gaussian_log_densities(Z, means, covariances):
     the module docstring); the shift ``c`` is the mean of the component
     means. Like :func:`log_densities`, the result is the transpose of a
     C-contiguous ``(K, n)`` array. A covariance that fails to factor
-    gets a ridge of 1e-8 * trace/d on the diagonal, with a warning; one
-    that still fails (indefinite) raises ``LinAlgError``. A covariance
-    with a non-finite entry raises ``NumericalError``.
+    gets a ridge of 1e-8 * max(trace, 1)/d on the diagonal, with a
+    :class:`RidgeWarning`; one that still fails (indefinite) raises
+    ``LinAlgError``. A covariance with a non-finite entry raises
+    ``NumericalError``.
     """
     Z = np.asarray(Z, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -242,7 +250,8 @@ def _shifted_log_densities(Z1, means, covariances):
     for k in np.flatnonzero(~ok):
         ridge = 1e-8 * max(np.trace(S[k]), 1.0) / d
         warnings.warn("singular covariance; adding ridge "
-                      f"{ridge:.3e} to keep the discriminant defined")
+                      "1e-8 * max(trace, 1) / d to its diagonal to keep the "
+                      "discriminant defined", RidgeWarning)
         L[k] = np.linalg.cholesky(S[k] + ridge * np.eye(d))
     inv_t = np.linalg.inv(L).transpose(0, 2, 1)            # L_k^{-T}
     W = np.empty((d + 1, K, d))

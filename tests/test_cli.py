@@ -1037,6 +1037,49 @@ def test_class_model_has_no_model_file():
         serialize_model(estimate_class_model(ds))
 
 
+def test_ridge_warning_prints_once_per_run(tmp_path, capsys):
+    """A run that meets singular covariances in many fits prints one
+    ridge warning, and so does a second run in the same process."""
+    data = _write(tmp_path / "d.csv", _COLLINEAR)
+    for run in range(2):
+        assert _main_as_console(["evaluate", "--data", data, "--labels", "y",
+                                 "--method", "rda,lda",
+                                 "--out", str(tmp_path / f"e{run}")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["warning: singular covariance; adding ridge "
+                         "1e-8 * max(trace, 1) / d to its diagonal to keep "
+                         "the discriminant defined"]
+
+
+# classes named by words, the last of which has two rows
+_NAMED_PAIR_CLASS = _table("a,b,y", _rng.standard_normal((22, 2)),
+                           ["setosa", "virginica"] * 10 + ["zz", "zz"])
+_NAMED_GROUPED = _table("a,b,g,y", np.column_stack(
+    [_rng.standard_normal((30, 2)), np.repeat([1, 2, 3], 10)]),
+    ["setosa", "virginica"] * 10 + ["zz"] * 10)
+
+
+@pytest.mark.parametrize("table, argv, error", [
+    (_NAMED_PAIR_CLASS, ["evaluate", "--method", "rda"],
+     "error: every grid point failed: class zz has 1 observation(s)"),
+    (_NAMED_PAIR_CLASS, ["evaluate", "--method", "save", "--grid", "1"],
+     "error: every grid point failed: class zz has 1 observation(s)"),
+    (_NAMED_GROUPED, ["evaluate", "--method", "rda", "--folds", "3",
+                      "--group", "g"],
+     "error: the training rows of fold 0 hold no observation of class zz"),
+    (_NAMED_PAIR_CLASS.replace(",zz\n", ",setosa\n", 1), ["fit"],
+     "error: class zz has 1 observation(s)"),
+], ids=["split-rda", "split-save", "folds", "fit"])
+def test_errors_name_a_class_by_its_label(tmp_path, capsys, table, argv,
+                                          error):
+    """A class with too few rows, or missing from a training part, is
+    named by its label, not by its id."""
+    data = _write(tmp_path / "d.csv", table)
+    assert main([argv[0], "--data", data, "--labels", "y", *argv[1:],
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith(error)
+
+
 def test_lda_fits_with_the_ridge_of_the_run(tmp_path):
     """``--ridge`` reaches the LDA fit: on anisotropic classes the model
     body moves with it."""

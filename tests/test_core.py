@@ -14,6 +14,7 @@ from opgd.core import (
     check_projection,
     compute_scatter,
     estimate_class_model,
+    frozen,
     scatter_from_responsibilities,
     sphere,
     symmetrize,
@@ -63,6 +64,40 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.labels[0] = 2
 
+    def test_copies_a_writable_array(self):
+        """A writable caller array is copied: writing to it later does
+        not reach the dataset."""
+        X = np.arange(12.0).reshape(4, 3)
+        y = np.array([1, 2, 1, 2])
+        ds = Dataset(X=X, labels=y)
+        assert not np.shares_memory(ds.X, X)
+        assert not np.shares_memory(ds.labels, y)
+        X[0, 0], y[0] = 99.0, 2
+        assert ds.X[0, 0] == 0.0 and ds.labels[0] == 1
+
+    def test_adopts_a_read_only_array(self):
+        """A read-only, C-contiguous array of the stored dtype that views
+        nothing writable is kept without a copy."""
+        X = frozen(np.arange(12.0).reshape(4, 3).copy())
+        y = frozen(np.array([1, 2, 1, 2]))
+        ds = Dataset(X=X, labels=y)
+        assert ds.X is X and ds.labels is y
+        assert Dataset(X=X[1:]).X.base is X
+
+    @pytest.mark.parametrize("case", ["view-of-writable", "fortran",
+                                      "float32"])
+    def test_copies_a_read_only_array_it_cannot_keep(self, case):
+        """A read-only view of a writable array, or a read-only array
+        that is not C-contiguous or not float64, is copied."""
+        base = np.arange(12.0).reshape(4, 3)
+        X = {"view-of-writable": base[1:],
+             "fortran": np.asfortranarray(base),
+             "float32": base.astype(np.float32)}[case]
+        X.setflags(write=False)
+        ds = Dataset(X=X)
+        assert not np.shares_memory(ds.X, X)
+        assert ds.X.dtype == np.float64 and not ds.X.flags.writeable
+
 
 class TestEstimateClassModel:
     def test_matches_manual_mle(self):
@@ -103,6 +138,12 @@ class TestEstimateClassModel:
         X = np.arange(10.0).reshape(5, 2)
         with pytest.raises(DegenerateClassError, match="class 2"):
             estimate_class_model(Dataset(X=X, labels=[1, 1, 2, 1, 1]))
+
+    def test_singleton_class_is_named_by_its_label(self):
+        X = np.arange(10.0).reshape(5, 2)
+        ds = Dataset(X=X, labels=[1, 1, 2, 1, 1])
+        with pytest.raises(DegenerateClassError, match="^class zz has 1 "):
+            estimate_class_model(ds, ("setosa", "zz"))
 
     def test_covariances_symmetric(self):
         rng = np.random.default_rng(3)

@@ -4,14 +4,16 @@ import csv
 import os
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from opgd import cli
 from opgd.cli import ingest_csv, main
-from opgd.core import DataError
+from opgd.core import DataError, Dataset
 
 
 def _reference_ingest(path, label_column=None, group_column=None):
@@ -125,6 +127,25 @@ def test_matches_cell_by_cell_reference(text):
     assert ing.feature_names == tuple(feature_names)
     np.testing.assert_array_equal(ing.groups, groups)
     assert ing.groups.dtype == groups.dtype
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_tables(), st.integers(1, 40))
+def test_blocks_ending_anywhere_match_the_reference(text, block_chars):
+    """Blocks of a few characters end at every kind of row, blank and
+    quoted ones included; the table is the one the reference reads."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_BLOCK_CHARS", block_chars):
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        X, labels, label_names, _, groups = _reference_ingest(path, "y", "g")
+        ing = ingest_csv(path, label_column="y", group_column="g")
+    np.testing.assert_array_equal(ing.dataset.X, X)
+    np.testing.assert_array_equal(ing.dataset.labels, labels)
+    assert ing.label_names == label_names
+    np.testing.assert_array_equal(ing.groups, groups)
 
 
 def _write(path, text):
@@ -287,3 +308,147 @@ def test_undecodable_data_exits_3(tmp_path, capsys):
     assert rc == 3
     assert f"error: cannot read {p}" in err
     assert "Traceback" not in err
+
+
+def _small_table(rows=40):
+    """Lines of a table of ``rows`` short rows, a blank line after every
+    fifth, and the file line numbers of its data rows."""
+    lines, data_lines = ["a,b,y"], []
+    for i in range(rows):
+        lines.append(f"{i}.5,{i % 7},{i % 3 + 1}")
+        data_lines.append(len(lines))
+        if i % 5 == 4:
+            lines.append("  " if i % 10 == 4 else "")
+    return lines, data_lines
+
+
+class TestBlocks:
+    """Tables read in blocks of about 30 characters, a few rows each."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", 30)
+
+    def test_fault_on_the_first_row_of_a_later_block_names_its_line(
+            self, tmp_path, monkeypatch):
+        """A bad cell on any row, the first row of a later block
+        included, is named by its file line, blank rows counted."""
+        starts = []
+        name_fault = cli._name_fault
+
+        def recording(path, delim, header, feature_idx, lines, lineno):
+            starts.append(lineno)
+            name_fault(path, delim, header, feature_idx, lines, lineno)
+
+        monkeypatch.setattr(cli, "_name_fault", recording)
+        lines, data_lines = _small_table()
+        at_block_start = 0
+        for line in data_lines:
+            bad = list(lines)
+            bad[line - 1] = bad[line - 1].replace(",", ",x", 1)
+            p = _write(tmp_path / "d.csv", "\n".join(bad) + "\n")
+            with pytest.raises(DataError, match=f"at row {line}, column 'b'"):
+                ingest_csv(p, label_column="y")
+            at_block_start += starts[-1] == line > data_lines[0]
+        assert at_block_start >= 3
+
+    @pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_line_ends_across_blocks(self, tmp_path, eol):
+        """``\\r`` and ``\\r\\n`` line ends read as ``\\n`` ones do, and a
+        fault past the first block names the same line."""
+        lines, data_lines = _small_table()
+        want = ingest_csv(_write(tmp_path / "n.csv", "\n".join(lines) + "\n"),
+                          label_column="y")
+        p = tmp_path / "e.csv"
+        p.write_bytes(eol.join(lines).encode() + eol.encode())
+        got = ingest_csv(str(p), label_column="y")
+        assert len(want.dataset.X) == len(data_lines)
+        np.testing.assert_array_equal(got.dataset.X, want.dataset.X)
+        np.testing.assert_array_equal(got.dataset.labels, want.dataset.labels)
+        line = data_lines[-3]
+        lines[line - 1] = lines[line - 1].replace(",", ",x", 1)
+        p.write_bytes(eol.join(lines).encode())
+        with pytest.raises(DataError, match=f"at row {line}, column 'b'"):
+            ingest_csv(str(p), label_column="y")
+
+    def test_more_rows_than_the_first_estimate(self, tmp_path):
+        """Long rows open the table and short ones follow, so the rows
+        per character of the first block undercount the table: the
+        matrix grows in place to hold every row."""
+        long_rows = [f"{i}.{'0' * 60},{i}" for i in range(4)]
+        short_rows = [f"{i},{i}" for i in range(4, 400)]
+        p = _write(tmp_path / "d.csv",
+                   "\n".join(["a,b", *long_rows, *short_rows]) + "\n")
+        X = ingest_csv(p).dataset.X
+        np.testing.assert_array_equal(X, np.repeat(np.arange(400.0), 2)
+                                      .reshape(400, 2))
+        assert X.flags.c_contiguous and X.flags.owndata
+
+    def test_quoted_field_left_open_at_the_end_of_a_block(self, tmp_path):
+        """A row whose quoted field is not closed is named wherever the
+        block ends, as a read of the whole table names it."""
+        lines, data_lines = _small_table()
+        for line in data_lines[:-1]:
+            bad = list(lines)
+            bad[line - 1] = bad[line - 1].rsplit(",", 1)[0] + ',"1'
+            p = _write(tmp_path / "d.csv", "\n".join(bad) + "\n")
+            with pytest.raises(DataError, match=f"row {line} has a quoted"):
+                ingest_csv(p, label_column="y")
+
+
+def test_perturbation_is_the_draw_of_the_whole_matrix(tmp_path, monkeypatch):
+    """The noise, added in place a few rows at a time, is the draw of
+    one matrix-sized sample, scaled by each column's sd."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((30, 3)) * [1.0, 10.0, 0.1]
+    p = _write(tmp_path / "d.csv", "a,b,c\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in X.tolist()))
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    got = ingest_csv(p, perturb_sd=0.1, seed=5).dataset.X
+    noise = np.random.default_rng(5).standard_normal(X.shape)
+    np.testing.assert_array_equal(got, X + noise * (0.1 * X.std(axis=0)))
+
+
+def test_dataset_adopts_the_ingested_matrix(tmp_path, monkeypatch):
+    """The matrix ingest fills is the dataset's: no copy is made."""
+    handed = []
+
+    def recording(X, labels=None):
+        handed.append(X)
+        return Dataset(X, labels)
+
+    monkeypatch.setattr(cli, "Dataset", recording)
+    p = _write(tmp_path / "d.csv", "a,b,y\n1,2,1\n3,4,2\n5,6,1\n")
+    ing = ingest_csv(p, label_column="y")
+    assert np.shares_memory(ing.dataset.X, handed[0])
+    assert ing.dataset.X is handed[0] and not ing.dataset.X.flags.writeable
+
+
+@pytest.fixture(scope="module")
+def wide_table(tmp_path_factory):
+    """A 20,000 x 60 table with a label column, and its matrix."""
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((20000, 60))
+    y = rng.integers(1, 6, size=20000)
+    path = tmp_path_factory.mktemp("wide") / "d.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([f"x{j}" for j in range(60)] + ["y"]) + "\n")
+        np.savetxt(fh, np.column_stack([X, y]), fmt="%.17g", delimiter=",")
+    return str(path), X
+
+
+@pytest.mark.parametrize("drop_constant", [False, True],
+                         ids=["plain", "drop-constant"])
+def test_peak_memory_is_the_matrix_and_one_block(wide_table, drop_constant):
+    """Row blocks are parsed into the final matrix and the dataset
+    adopts it, so ingest holds one copy of the table; with
+    ``drop_constant`` and no constant column there is still one."""
+    path, X = wide_table
+    tracemalloc.start()
+    try:
+        ing = ingest_csv(path, label_column="y", drop_constant=drop_constant)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(ing.dataset.X, X)
+    assert peak <= 1.4 * ing.dataset.X.nbytes
