@@ -548,12 +548,14 @@ def _model_predict(model, X):
 def _write_table(path: str, manifest_id: str, header: list[str], rows):
     """Write a tab-separated table under its manifest line. ``rows``, an
     iterable of cell lists, is joined and written :data:`_BLOCK_ROWS`
-    rows at a time, so a lazy ``rows`` is never held whole."""
+    rows at a time, each row joined as it is read, so a lazy ``rows`` is
+    never held whole and a block is held only as its row strings."""
     def chunks():
         yield f"# manifest\t{manifest_id}\n" + "\t".join(header) + "\n"
         it = iter(rows)
-        while block := list(itertools.islice(it, _BLOCK_ROWS)):
-            yield "".join("\t".join(r) + "\n" for r in block)
+        while block := "".join("\t".join(r) + "\n" for r in
+                               itertools.islice(it, _BLOCK_ROWS)):
+            yield block
     _atomic_write(path, chunks())
 
 
@@ -687,7 +689,9 @@ def cmd_cluster(args) -> int:
     elif gmm.p != X.shape[1]:
         raise DataError(f"initial mixture has {gmm.p} dims, data has "
                         f"{X.shape[1]} (after any pre-filter)")
-    initial_labels = hard_labels(X, gmm)
+    # the initial mixture's labels feed only the .metrics against --labels
+    truth = ing.dataset.labels
+    initial_labels = hard_labels(X, gmm) if truth is not None else None
     V, labels, _projected = enhance_gmm(X, gmm, args.dim, cc, opt)
     Z = X @ V
     vcols = [f"v{j + 1}" for j in range(V.shape[1])]
@@ -702,8 +706,7 @@ def cmd_cluster(args) -> int:
     _atomic_write(args.out + ".gmm",
                   serialize_model(gmm, manifest.manifest_id))
     metric_rows = []
-    if ing.dataset.labels is not None:
-        truth = ing.dataset.labels
+    if truth is not None:
         for tag, lab in (("initial", initial_labels), ("enhanced", labels)):
             ari = adjusted_rand_index(lab, truth)
             nmi = normalized_mutual_information(lab, truth)

@@ -26,13 +26,14 @@ iteration costs a few products, and each EM takes the same steps as a
 loop over the components would, to rounding:
 
 - The full-space EM centres ``X`` at its column mean ``c`` once per fit
-  and keeps ``X1 = [X - c, 1]``, and, for each component k, the
-  differences ``X - a_k`` from an anchor ``a_k``. The M-step takes the
-  means and scatters of all K components from one ``(K p, n) x
-  (n, p + 1)`` product of the responsibility-weighted differences with
-  ``X1``, taken in cache-sized row blocks. The E-step feeds ``X1`` to
-  the full-covariance density routine of :mod:`opgd.objective`, which
-  also works in row blocks.
+  and keeps ``X1 = [X - c, 1]``, its one copy of the data, and an
+  anchor ``a_k`` for each component k. The M-step takes the means and
+  scatters of all K components from one ``(K p, n) x (n, p + 1)``
+  product of the responsibility-weighted differences ``X - a_k`` with
+  ``X1``, taken in cache-sized row blocks: each block's differences are
+  formed from ``X1`` as the block is reached, so no ``(K, p, n)`` array
+  is held. The E-step feeds ``X1`` to the full-covariance density
+  routine of :mod:`opgd.objective`, which also works in row blocks.
 - The projected EM keeps, for each component k, ``F_k = [(Z - a_k)^2;
   Z - a_k; 1]`` about an anchor ``a_k``. Each E-step is one batched
   product of per-component coefficients with ``F``, and each M-step
@@ -132,7 +133,8 @@ def _run_em(e_step, m_step, reseed, config: ClusterConfig, name: str,
     """The EM loop of both mixtures.
 
     ``e_step(weights)`` returns the ``(K, n)`` log joints of the current
-    parameters; ``m_step(R)`` re-estimates them from the ``(K, n)``
+    parameters in a fresh array, which becomes the responsibilities in
+    place; ``m_step(R)`` re-estimates them from the ``(K, n)``
     responsibilities and returns each component's mass; ``reseed(k,
     worst)`` restarts component ``k`` at observation ``worst``, the one
     the last E-step explained worst (``None`` before any). A fit given
@@ -154,6 +156,7 @@ def _run_em(e_step, m_step, reseed, config: ClusterConfig, name: str,
         if R is not None:
             n = R.shape[1]
             mass = m_step(R)
+            R = None    # freed before the E-step forms the next
             weights = mass / n
             for k in np.flatnonzero(mass < 1e-10):
                 warnings.warn(f"{component} component {k + 1} lost all "
@@ -162,10 +165,11 @@ def _run_em(e_step, m_step, reseed, config: ClusterConfig, name: str,
                        else int(np.argmin(ll_per_point)))
                 weights[k] = 1.0 / n
             weights = weights / weights.sum()
-        joint = e_step(weights)
-        ll_per_point = component_logsumexp(joint)
+        R = e_step(weights)
+        ll_per_point = component_logsumexp(R)
         trace.append(float(ll_per_point.sum()))
-        R = np.exp(joint - ll_per_point)
+        R -= ll_per_point
+        np.exp(R, out=R)
         if _em_converged(trace, config.em_tol):
             break
     else:
@@ -254,38 +258,39 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
     data_cov_trace = float(np.var(X, axis=0).sum())
 
     assign = _kmeans(X, K, rng)
-    R = np.zeros((K, n))
-    R[assign, np.arange(n)] = 1.0
 
     # X1 = [X - c, 1] about the data mean c, formed once, feeds every
-    # E-step; D[k] = (X - a_k)' about the anchor a_k (see the module
-    # docstring) feeds every M-step
+    # E-step and M-step; the differences from the anchors a_k (see the
+    # module docstring) are formed one row block at a time in ``block``
     center = X.mean(axis=0)
     X1 = _augment(X, center)
-    D = np.empty((K, p, n))
     anchors, means = np.empty((K, p)), np.empty((K, p))
     covs = np.empty((K, p, p))
     stale = np.ones(K, dtype=bool)
     rows = max(1, _BLOCK_ENTRIES // (K * p))
-    block = np.empty((K, p, rows))
+    block, block_t = np.empty((K, p, rows)), np.empty((p, rows))
     eye = np.eye(p)
 
     def m_step(R):
         # M_k = sum_i r_ki (x_i - a_k) [x_i - c, 1] for all k from one
-        # (K p, n) x (n, p + 1) product, taken in cache-sized row blocks;
-        # one Cholesky to test the floors. A component without mass
-        # divides by 1 and is re-seeded by _run_em.
+        # (K p, n) x (n, p + 1) product, taken in cache-sized row blocks,
+        # each block's differences formed afresh from X1; one Cholesky to
+        # test the floors. A component without mass divides by 1 and is
+        # re-seeded by _run_em.
         mass = R.sum(axis=1)
         divisor = np.where(mass > 0, mass, 1.0)[:, None]
         if stale.any():
             anchors[stale] = R[stale] @ X1[:, :p] / divisor[stale]
-            D[stale] = X1[:, :p].T - anchors[stale, :, None]
         moments = np.zeros((K * p, p + 1))
         for lo in range(0, n, rows):
-            W = block[:, :, :min(rows, n - lo)]
-            np.multiply(D[:, :, lo:lo + rows], R[:, None, lo:lo + rows],
-                        out=W)
-            moments += W.reshape(K * p, -1) @ X1[lo:lo + rows]
+            hi = min(lo + rows, n)
+            W = block[:, :, :hi - lo]
+            # the block is transposed once, not once per component
+            T = block_t[:, :hi - lo]
+            np.copyto(T, X1[lo:hi, :p].T)
+            np.subtract(T, anchors[:, :, None], out=W)
+            W *= R[:, None, lo:hi]
+            moments += W.reshape(K * p, -1) @ X1[lo:hi]
         moments = moments.reshape(K, p, p + 1) / divisor[:, :, None]
         # M_k / m_k = [S_k + d_k (mu_k - c)', d_k] for the shift
         # d_k = mu_k - a_k of each mean from its anchor
@@ -314,8 +319,11 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
         joint += np.log(weights)[:, None]
         return joint
 
-    weights, _, trace = _run_em(e_step, m_step, reseed, config,
-                                "full-space EM", "mixture", R=R)
+    # the one-hot k-means partition, held by _run_em alone so that it is
+    # freed after the first M-step
+    weights, _, trace = _run_em(
+        e_step, m_step, reseed, config, "full-space EM", "mixture",
+        R=(np.arange(K)[:, None] == assign).astype(float))
     means += center
     model = GmmModel(weights=weights, means=means, covariances=covs)
     if return_trace:

@@ -21,6 +21,13 @@ import numpy as np
 # corresponding class covariance; clamp events are counted, never raised.
 VARIANCE_FLOOR_FRAC = 1e-12
 
+# Rows of a large array are taken in blocks of at most this many entries
+# (256 KiB): the full-covariance product, so each block's ``rows x K d``
+# result stays in a core's cache, the full-space EM's M-step alike, and
+# the finiteness check of a :class:`Dataset`, so it never holds a bool
+# array the size of the data.
+_BLOCK_ENTRIES = 1 << 15
+
 
 class OpgdError(Exception):
     """Base class for errors raised by this package. Each kind carries
@@ -123,7 +130,9 @@ class Dataset:
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise DataError(f"need a 2-d observation matrix, got shape {X.shape}")
-        if not np.all(np.isfinite(X)):
+        rows = max(1, _BLOCK_ENTRIES // X.shape[1])
+        if not all(np.isfinite(X[lo:lo + rows]).all()
+                   for lo in range(0, X.shape[0], rows)):
             raise DataError("observation matrix contains non-finite entries")
         object.__setattr__(self, "X", _readonly(X))
         if self.labels is not None:

@@ -88,8 +88,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, GaussianClassModel, NumericalError, \
-    check_projection, symmetrize, variance_floors
+from .core import _BLOCK_ENTRIES, Dataset, GaussianClassModel, \
+    NumericalError, check_projection, symmetrize, variance_floors
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -98,12 +98,6 @@ class RidgeWarning(UserWarning):
     """A singular covariance was given a ridge. The message is the same
     at every call, so a run that meets the cause many times can print
     it once."""
-
-
-# Rows of the full-covariance product are taken in blocks of at most this
-# many entries (256 KiB), so each block's ``rows x K d`` result stays in
-# a core's cache; the full-space EM's M-step blocks its product alike.
-_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -375,6 +376,26 @@ class TestCommands:
                    "--clusters", "3", "--dim", "1",
                    "--init-gmm", out1 + ".gmm", "--out", out2])
         assert rc == 0
+
+    def test_cluster_without_labels_computes_no_initial_labels(
+            self, tmp_path, monkeypatch):
+        """The initial mixture's labels feed only ``.metrics``: a run
+        without ``--labels`` never computes them, and writes the files
+        it writes when they are computed."""
+        data = _blob_csv(tmp_path / "d.csv", seed=4)
+        out = str(tmp_path / "c.tsv")
+        suffixes = ("", ".features", ".projection", ".gmm", ".manifest")
+        outputs = []
+        for patched in (False, True):
+            if patched:
+                def refuse(*args):
+                    raise AssertionError("hard_labels called")
+                monkeypatch.setattr(cli, "hard_labels", refuse)
+            assert main(["cluster", "--data", data, "--clusters", "3",
+                         "--dim", "1", "--out", out]) == 0
+            outputs.append([open(out + s, "rb").read() for s in suffixes])
+            assert not os.path.exists(out + ".metrics")
+        assert outputs[0] == outputs[1]
 
     @staticmethod
     def _cluster_from_mixture(tmp_path, first_cov_diag):
@@ -823,6 +844,33 @@ class TestDeterminism:
                          "--seed", seed, "--out", out]) == 0
             ids.append(open(out + ".manifest").read().splitlines()[-1])
         assert ids[0] != ids[1]
+
+
+def test_table_is_written_one_block_of_row_strings_at_a_time(tmp_path):
+    """A 20,000-row table is written as one join of all its rows would
+    write it. Each row is joined as it is read, so a block is held as
+    its row strings only: the traced peak stays under twice the bytes
+    written, where holding each block's lists of cells took three
+    times."""
+    rng = np.random.default_rng(6)
+    Z = rng.standard_normal((20000, 3))
+    labels = rng.integers(1, 6, 20000).tolist()
+    path = str(tmp_path / "t.tsv")
+    tracemalloc.start()
+    try:
+        cli._write_table(path, "m", ["v1", "v2", "v3", "c"],
+                         (zrow + [str(c)] for zrow, c in
+                          zip(cli._fmt_rows(Z), labels)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with open(path, "rb") as fh:
+        written = fh.read()
+    expected = "# manifest\tm\nv1\tv2\tv3\tc\n" + "".join(
+        "\t".join(map(repr, row)) + f"\t{c}\n"
+        for row, c in zip(Z.tolist(), labels))
+    assert written == expected.encode()
+    assert peak < 2 * len(written)
 
 
 class TestManifestParams:

@@ -1,5 +1,6 @@
 """Tests for mixture fitting, the enhancement objective and the pre-filter."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -306,6 +307,25 @@ class TestFitGmmEm:
         before = X.copy()
         fit_gmm_em(X, 3, ClusterConfig(seed=2))
         np.testing.assert_array_equal(X, before)
+
+    def test_peak_memory_is_one_copy_of_the_data(self):
+        """EM holds ``X1 = [X - c, 1]`` and arrays of the size of the
+        responsibilities; the M-step forms each row block's differences
+        from the anchors as it reaches it, not the K copies of the data
+        ``(K, p, n)`` would be."""
+        rng = np.random.default_rng(11)
+        K = 6
+        X = rng.standard_normal((6000, 40)) \
+            + 4.0 * rng.integers(0, K, (6000, 1))
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                fit_gmm_em(X, K, ClusterConfig(seed=11, em_max_iters=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * X.nbytes
 
     def test_data_without_columns_is_a_data_error(self):
         with pytest.raises(DataError, match="no columns"):

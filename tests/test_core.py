@@ -45,6 +45,16 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(X=X)
 
+    @pytest.mark.parametrize("row", [0, 818, 819, 4999])
+    def test_rejects_nonfinite_in_any_row_block(self, row):
+        """The entries are checked a block of rows at a time (819 rows
+        of 40 columns here); a bad entry in the first or last row, or on
+        either side of a block boundary, is found."""
+        X = np.ones((5000, 40))
+        X[row, 39] = -np.inf
+        with pytest.raises(DataError, match="non-finite entries"):
+            Dataset(X=X)
+
     def test_rejects_zero_based_labels(self):
         with pytest.raises(DataError):
             Dataset(X=np.eye(3), labels=[0, 1, 2])

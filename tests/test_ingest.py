@@ -452,3 +452,21 @@ def test_peak_memory_is_the_matrix_and_one_block(wide_table, drop_constant):
         tracemalloc.stop()
     np.testing.assert_array_equal(ing.dataset.X, X)
     assert peak <= 1.4 * ing.dataset.X.nbytes
+
+
+def test_finiteness_check_adds_no_matrix_sized_array(wide_table):
+    """The dataset checks its entries a block of rows at a time, so
+    ingest of the wide table peaks near its one copy of the table, not
+    at that copy plus an n x p bool array. A first labelled
+    ``Dataset`` runs before tracing: numpy imports modules on its first
+    ``unique``, and their code is not the table's."""
+    path, X = wide_table
+    Dataset(np.zeros((2, 1)), [1, 1])
+    tracemalloc.start()
+    try:
+        ing = ingest_csv(path, label_column="y")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(ing.dataset.X, X)
+    assert peak <= 1.1 * ing.dataset.X.nbytes
