@@ -19,7 +19,7 @@ import numpy as np
 from .core import ConfigError, DataError, Dataset, ScatterMatrices, \
     check_projection, compute_scatter, estimate_class_model, frozen, \
     sphere, symmetrize
-from .objective import ClampStats, component_logsumexp, diag_log_densities, \
+from .objective import ClampStats, bayes_posteriors, diag_log_densities, \
     full_gaussian_log_densities, projected_variances
 from .optimizer import OptimConfig, _normalize_columns, discriminant_directions, \
     init_projection, maximize, order_columns
@@ -57,8 +57,7 @@ def _as_matrix(X, p: int):
 def _posterior_predict(log_dens, priors):
     """Class ids (1..K) and the ``n x K`` posteriors from ``(K, n)``
     log-densities."""
-    logpost = np.log(priors)[:, None] + log_dens
-    post = np.exp(logpost - component_logsumexp(logpost, keepdims=True))
+    post = bayes_posteriors(np.log(priors), log_dens)
     return np.argmax(post, axis=0) + 1, post.T
 
 
@@ -201,12 +200,11 @@ def lda_fit(train: Dataset, r: int, ridge_frac: float = 1e-6,
 
 
 def lda_predict(model: LdaModel, X):
-    X = _as_matrix(X, model.p)
-    Z = X @ model.projection
     covs = np.broadcast_to(model.covariance,
                            (model.means.shape[0],) + model.covariance.shape)
-    ld = full_gaussian_log_densities(Z, model.means, covs)
-    return _posterior_predict(ld.T, model.priors)
+    Z = _as_matrix(X, model.p) @ model.projection
+    return _posterior_predict(
+        full_gaussian_log_densities(Z, model.means, covs).T, model.priors)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +262,9 @@ def save_fit(train: Dataset, r: int, label_names=None) -> SaveModel:
 
 
 def save_predict(model: SaveModel, X):
-    X = _as_matrix(X, model.p)
-    ld = full_gaussian_log_densities(X @ model.projection, model.means,
-                                     model.covariances)
-    return _posterior_predict(ld.T, model.priors)
+    Z = _as_matrix(X, model.p) @ model.projection
+    return _posterior_predict(full_gaussian_log_densities(
+        Z, model.means, model.covariances).T, model.priors)
 
 
 # ---------------------------------------------------------------------------
@@ -304,5 +301,5 @@ def rda_fit(train: Dataset, alpha: float, label_names=None) -> RdaModel:
 
 def rda_predict(model: RdaModel, X):
     X = _as_matrix(X, model.p)
-    ld = full_gaussian_log_densities(X, model.means, model.covariances)
-    return _posterior_predict(ld.T, model.priors)
+    return _posterior_predict(full_gaussian_log_densities(
+        X, model.means, model.covariances).T, model.priors)

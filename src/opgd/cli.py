@@ -174,6 +174,18 @@ def _name_fault(path: str, delim: str, header: list[str],
     raise DataError(f"{path}: the table could not be parsed")
 
 
+def _column(path: str, header: list[str], name: str, missing) -> int:
+    """The index of the one column of ``header`` called ``name``. A name
+    the header lacks is a ``missing`` error, one it holds more than once
+    a ``DataError``; either names the column."""
+    if name not in header:
+        raise missing(f"{path}: no column named {name!r} "
+                      f"(columns: {', '.join(header)})")
+    if header.count(name) > 1:
+        raise DataError(f"{path}: the header holds {name!r} more than once")
+    return header.index(name)
+
+
 def _row_blocks(fh, delim: str, lines: list[str]):
     """The data rows left in ``fh``, in blocks of about
     :data:`_BLOCK_CHARS` characters of text, as ``(rows, lines, lineno,
@@ -227,7 +239,10 @@ def ingest_csv(path: str, label_column: str | None = None,
     lexically; original names are kept. The feature columns are the
     others or, when ``feature_columns`` names them, those columns in
     that order, matched by name: a missing one is a ``DataError`` naming
-    it, and the columns left over are not parsed. Constant feature
+    it, and the columns left over are not parsed. A column looked up by
+    name (label, group or feature) must occur once in the header, and
+    ``feature_columns`` must name each column once; either fault is a
+    ``DataError`` naming the column. Constant feature
     columns are dropped when requested, then an optional i.i.d.
     Gaussian perturbation with per-column sd ``perturb_sd * column_sd``
     is added in place using ``seed``. Faults name the file line number:
@@ -251,24 +266,21 @@ def ingest_csv(path: str, label_column: str | None = None,
             else:
                 raise DataError(f"{path}: no data rows")
 
-            special = {}
-            for role, name in (("label", label_column),
-                               ("group", group_column)):
-                if name is None:
-                    continue
-                if name not in header:
-                    raise ConfigError(f"{path}: no column named {name!r} "
-                                      f"(columns: {', '.join(header)})")
-                special[role] = header.index(name)
+            special = {role: _column(path, header, name, ConfigError)
+                       for role, name in (("label", label_column),
+                                          ("group", group_column))
+                       if name is not None}
             if feature_columns is None:
                 feature_idx = [j for j in range(len(header))
                                if j not in special.values()]
             else:
-                for name in feature_columns:
-                    if name not in header:
-                        raise DataError(f"{path}: no column named {name!r} "
-                                        f"(columns: {', '.join(header)})")
-                feature_idx = [header.index(nm) for nm in feature_columns]
+                feature_idx = [_column(path, header, nm, DataError)
+                               for nm in feature_columns]
+                ordered = sorted(feature_columns)
+                twice = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+                if twice:
+                    raise DataError(f"{path}: the feature columns name "
+                                    f"{twice[0]!r} twice")
 
             # label and group cells become first-seen codes of their
             # stripped text; cells of unused columns are not parsed
@@ -559,6 +571,15 @@ def _write_table(path: str, manifest_id: str, header: list[str], rows):
     _atomic_write(path, chunks())
 
 
+def _write_coordinates(path: str, manifest_id: str, Z, tag: str, tags):
+    """The coordinates table: columns ``v1 .. vd`` holding each row of
+    ``Z``, then the ``tag`` column holding that row's entry of the
+    iterable ``tags``; its rows are formed as they are written."""
+    _write_table(path, manifest_id,
+                 [f"v{j + 1}" for j in range(Z.shape[1])] + [tag],
+                 (zrow + [t] for zrow, t in zip(_fmt_rows(Z), tags)))
+
+
 def _write_projection(path: str, manifest_id: str, feature_names, V):
     """The ``.projection`` sidecar: a ``feature`` column naming each
     input column, then that column's row of ``V``."""
@@ -649,11 +670,9 @@ def cmd_features(args) -> int:
     manifest = make_manifest("features", args.data, args.seed,
                              method=args.method, dim=args.dim, **params)
     V = _fit_model(args, ing, opt).projection
-    Z = ing.dataset.X @ V
-    vcols = [f"v{j + 1}" for j in range(V.shape[1])]
-    rows = (zrow + [ing.label_names[t - 1]]
-            for zrow, t in zip(_fmt_rows(Z), ing.dataset.labels.tolist()))
-    _write_table(args.out, manifest.manifest_id, vcols + ["label"], rows)
+    _write_coordinates(args.out, manifest.manifest_id, ing.dataset.X @ V,
+                       "label", (ing.label_names[t - 1]
+                                 for t in ing.dataset.labels.tolist()))
     _write_projection(args.out + ".projection", manifest.manifest_id,
                       ing.feature_names, V)
     write_manifest(manifest, args.out + ".manifest")
@@ -693,14 +712,10 @@ def cmd_cluster(args) -> int:
     truth = ing.dataset.labels
     initial_labels = hard_labels(X, gmm) if truth is not None else None
     V, labels, _projected = enhance_gmm(X, gmm, args.dim, cc, opt)
-    Z = X @ V
-    vcols = [f"v{j + 1}" for j in range(V.shape[1])]
     _write_table(args.out, manifest.manifest_id, ["cluster"],
                  [[str(c)] for c in labels])
-    _write_table(args.out + ".features", manifest.manifest_id,
-                 vcols + ["cluster"],
-                 (zrow + [str(c)]
-                  for zrow, c in zip(_fmt_rows(Z), labels.tolist())))
+    _write_coordinates(args.out + ".features", manifest.manifest_id, X @ V,
+                       "cluster", map(str, labels.tolist()))
     _write_projection(args.out + ".projection", manifest.manifest_id,
                       ing.feature_names, V if basis is None else basis @ V)
     _atomic_write(args.out + ".gmm",
@@ -775,7 +790,7 @@ def cmd_evaluate(args) -> int:
         chosen = [e for h, e in result.val_errors if h == result.best_hyper][0]
         test_err = ""
         if test_X is not None:
-            pred = _PREDICTORS[method](result.model, test_X)[0]
+            pred = _model_predict(result.model, test_X)[0]
             test_err = _fmt(misclassification_error(pred, test_labels))
         rows.append([method, str(result.best_hyper), _fmt(chosen), test_err])
         for h, msg in result.failures:

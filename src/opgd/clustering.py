@@ -59,8 +59,8 @@ from .core import ConfigError, DataError, Dataset, GmmModel, \
 # ``log_densities`` is imported only for perfbench's tracer, which wraps it
 # here.
 from .objective import _BLOCK_ENTRIES, LOG_2PI, GradientWorkspace, \
-    _augment, _shifted_log_densities, build_workspace, cholesky_factors, \
-    classification_log_likelihood, component_logsumexp, \
+    _augment, _shifted_log_densities, bayes_posteriors, build_workspace, \
+    cholesky_factors, classification_log_likelihood, component_logsumexp, \
     full_gaussian_log_densities, grad_objective, \
     grad_weighted_log_densities, log_densities, \
     projected_variances  # noqa: F401
@@ -333,10 +333,8 @@ def fit_gmm_em(X, K: int, config: ClusterConfig | None = None,
 
 def responsibilities(X, gmm: GmmModel):
     """``n x K`` posterior component probabilities of the observations."""
-    joint = gmm.log_weights[:, None] + \
-        full_gaussian_log_densities(np.asarray(X, dtype=float),
-                                    gmm.means, gmm.covariances).T
-    return np.exp(joint - component_logsumexp(joint, keepdims=True)).T
+    return bayes_posteriors(gmm.log_weights, full_gaussian_log_densities(
+        np.asarray(X, dtype=float), gmm.means, gmm.covariances).T).T
 
 
 def hard_labels(X, gmm: GmmModel):

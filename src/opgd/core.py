@@ -143,11 +143,9 @@ class Dataset:
                 )
             if y.min() < 1:
                 raise DataError("labels must be 1-based contiguous integers")
-            K = int(y.max())
-            present = np.unique(y)
-            if present.size != K:
-                missing = sorted(set(range(1, K + 1)) - set(present.tolist()))
-                raise DataError(f"label ids {missing} never occur")
+            missing = np.flatnonzero(np.bincount(y)[1:] == 0) + 1
+            if missing.size:
+                raise DataError(f"label ids {missing.tolist()} never occur")
             object.__setattr__(self, "labels", _readonly(y, int))
 
     @property
@@ -260,10 +258,6 @@ class ScatterMatrices:
     def __post_init__(self):
         for name in ("within", "between", "total", "grand_mean"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    @property
-    def p(self) -> int:
-        return self.grand_mean.shape[0]
 
 
 def estimate_class_model(dataset: Dataset,

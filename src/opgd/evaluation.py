@@ -157,22 +157,22 @@ def make_folds(n: int, k: int, grouping=None, seed: int = 0) -> FoldPlan:
     if k < 2:
         raise ConfigError("need at least 2 folds")
     rng = np.random.default_rng(seed)
-    assignment = np.empty(n, dtype=int)
     if grouping is None:
         if k > n:
             raise ConfigError(f"k={k} exceeds n={n}")
-        perm = rng.permutation(n)
-        assignment[perm] = np.arange(n) % k
+        assignment = np.empty(n, dtype=int)
+        assignment[rng.permutation(n)] = np.arange(n) % k
     else:
         grouping = np.asarray(grouping)
         if grouping.shape[0] != n:
             raise DataError("grouping length must match n")
-        groups = np.unique(grouping)
-        if k > groups.shape[0]:
-            raise ConfigError(f"k={k} exceeds the {groups.shape[0]} groups")
-        order = rng.permutation(groups.shape[0])
-        for slot, gi in enumerate(order):
-            assignment[grouping == groups[gi]] = slot % k
+        groups, inverse = np.unique(grouping, return_inverse=True)
+        G = groups.shape[0]
+        if k > G:
+            raise ConfigError(f"k={k} exceeds the {G} groups")
+        slot = np.empty(G, dtype=int)
+        slot[rng.permutation(G)] = np.arange(G) % k
+        assignment = slot[inverse]
     return FoldPlan(assignment=assignment, k=k, seed=seed)
 
 
@@ -271,13 +271,13 @@ def grid_search(method: str, grid, train: Dataset, plan,
         refit = train
     names = _label_names(label_names, _two_classes(train).K)
     for part, (fit_rows, _) in enumerate(pairs):
-        missing = np.setdiff1d(np.arange(1, train.K + 1),
-                               train.labels[fit_rows])
+        missing = np.flatnonzero(np.bincount(train.labels[fit_rows],
+                                             minlength=train.K + 1)[1:] == 0)
         if missing.size:
             where = "the split's training rows" if len(pairs) == 1 \
                 else f"the training rows of fold {part}"
             raise DataError(f"{where} hold no observation of class " +
-                            ", ".join(names[k - 1] for k in missing.tolist()))
+                            ", ".join(names[k] for k in missing.tolist()))
 
     val_errors = []
     failures = []

@@ -78,6 +78,11 @@ shift, the largest term kept out of the sum and added through
 ``log1p``) in plain NumPy and gives the same results. scipy's array-API
 dispatch costs several times that arithmetic at the package's shapes,
 and the ascents take thousands of these sums.
+
+The module also owns the Bayes read-out both settings label points by:
+:func:`bayes_posteriors` turns log weights and ``(K, n)`` log-densities
+into posteriors, for the classifiers' predictions and for a mixture's
+responsibilities alike.
 """
 
 from __future__ import annotations
@@ -155,6 +160,14 @@ def component_logsumexp(a, keepdims: bool = False):
         + (np.count_nonzero(top, axis=0) - 1)
     out = np.log1p(rest) + amax
     return out[None, :] if keepdims else out
+
+
+def bayes_posteriors(log_weights, log_dens):
+    """``(K, n)`` posteriors ``w_k phi_k(z_i) / sum_l w_l phi_l(z_i)``
+    from the ``K`` log weights and the ``(K, n)`` log-densities
+    ``log phi_k(z_i)``; each column sums to one."""
+    joint = log_weights[:, None] + log_dens
+    return np.exp(joint - component_logsumexp(joint))
 
 
 def diag_log_densities(diffs, variances):
@@ -263,7 +276,7 @@ def _shifted_log_densities(Z1, means, covariances):
     return quad
 
 
-def log_densities(X, V, means, covariances, clamp: ClampStats | None = None):
+def log_densities(X, V, means, covariances):
     """``n x K`` matrix of projected diagonal-Gaussian log-densities.
 
     Entry (i, k) is ``log N(V'x_i; V'mu_k, diag(v_j' Sigma_k v_j))``. The
@@ -271,7 +284,7 @@ def log_densities(X, V, means, covariances, clamp: ClampStats | None = None):
     ``log_densities(...).T`` is that array without a copy.
     """
     V = np.asarray(V, dtype=float)
-    pv = projected_variances(V, covariances, clamp)
+    pv = projected_variances(V, covariances)
     diffs = (V.T @ np.asarray(X, dtype=float).T)[None] \
         - (np.asarray(means, dtype=float) @ V)[:, :, None]
     return diag_log_densities(diffs, pv).T
@@ -351,15 +364,14 @@ def grad_weighted_log_densities(X, means, cov_proj, proj_vars, diffs, W):
             - SV / proj_vars[:, None, :]).sum(axis=0)
 
 
-def posteriors(dataset: Dataset, V, model: GaussianClassModel,
-               clamp: ClampStats | None = None):
+def posteriors(dataset: Dataset, V, model: GaussianClassModel):
     """``n x K`` Bayes posterior probabilities in the projected space.
 
     Rows sum to one; computed with a log-sum-exp shift, so the result is
     invariant to positive rescaling of any column of ``V``.
     """
     V = check_projection(V, model.p)
-    return build_workspace(dataset.X, V, model, clamp=clamp).posteriors.T
+    return build_workspace(dataset.X, V, model).posteriors.T
 
 
 def _require_labels(dataset):
@@ -367,8 +379,8 @@ def _require_labels(dataset):
         raise ValueError("a labeled dataset is required")
 
 
-def classification_log_likelihood(dataset: Dataset, V, model: GaussianClassModel,
-                                  clamp: ClampStats | None = None) -> float:
+def classification_log_likelihood(dataset: Dataset, V,
+                                  model: GaussianClassModel) -> float:
     """Multinomial log-likelihood of the labels under projected posteriors.
 
     Always <= 0, with equality iff every observation puts posterior mass
@@ -376,8 +388,8 @@ def classification_log_likelihood(dataset: Dataset, V, model: GaussianClassModel
     """
     _require_labels(dataset)
     V = check_projection(V, model.p)
-    return build_workspace(dataset.X, V, model, dataset.label_index,
-                           clamp).log_likelihood
+    return build_workspace(dataset.X, V, model,
+                           dataset.label_index).log_likelihood
 
 
 def ell1(dataset: Dataset, V, model: GaussianClassModel) -> float:
@@ -447,13 +459,11 @@ def grad_ell2(dataset: Dataset, V, model: GaussianClassModel,
                                        ws.proj_vars, ws.diffs, ws.posteriors)
 
 
-def grad_objective(dataset: Dataset, V, model: GaussianClassModel,
-                   workspace: GradientWorkspace | None = None):
+def grad_objective(dataset: Dataset, V, model: GaussianClassModel):
     """Gradient of the classification log-likelihood (prior term is V-free).
 
-    Both terms share one workspace, built here when not supplied.
+    Both terms share one workspace.
     """
     _require_labels(dataset)
-    ws = workspace if workspace is not None \
-        else build_workspace(dataset.X, check_projection(V, model.p), model)
+    ws = build_workspace(dataset.X, check_projection(V, model.p), model)
     return grad_ell1(dataset, V, model, ws) - grad_ell2(dataset, V, model, ws)

@@ -24,7 +24,7 @@ from .core import ConfigError, Dataset, GaussianClassModel, NumericalError, \
     ScatterMatrices, check_projection, symmetrize
 # Nothing here calls ``classification_log_likelihood`` any more; it stays
 # importable from this module because perfbench's tracer wraps it here.
-from .objective import ClampStats, build_workspace, \
+from .objective import ClampStats, _require_labels, build_workspace, \
     classification_log_likelihood, component_logsumexp, diag_log_densities, \
     grad_ell1, grad_ell2  # noqa: F401
 
@@ -338,8 +338,7 @@ def maximize(dataset: Dataset, model: GaussianClassModel, V0,
 
     Returns ``(V, trace)``; see :func:`ascend` for the trace contract.
     """
-    if dataset.labels is None:
-        raise ValueError("a labeled dataset is required")
+    _require_labels(dataset)
     config = config if config is not None else OptimConfig()
     V0 = check_projection(V0, model.p)
     value, grad = reuse_workspace(
@@ -364,8 +363,7 @@ def order_columns(dataset: Dataset, V, model: GaussianClassModel):
     evaluated once at the full ``V``; each candidate then costs one
     addition and one log-sum-exp.
     """
-    if dataset.labels is None:
-        raise ValueError("a labeled dataset is required")
+    _require_labels(dataset)
     V = check_projection(V, model.p)
     m = V.shape[1]
     if m == 1:

@@ -1023,56 +1023,124 @@ _ONE_CLASS_ERROR = "error: a classifier needs at least two classes"
 _NO_VARIANCE_ERROR = "error: no column varies: every row is the same point"
 
 
-@pytest.mark.parametrize("table, argv, rc, error", [
-    (_COLLINEAR, ["evaluate", "--labels", "y", "--method", "rda,lda,save"],
+# feature columns that are all constant, and a table with two classes
+_CONSTANT_LABELLED = "a,b,y\n" + "1,2,1\n1,2,2\n" * 3
+_TWO_CLASS = _table("x1,x2,y", _rng.standard_normal((20, 2)),
+                    np.tile([1, 2], 10))
+
+
+def _failure_files(tmp_path):
+    """The inputs of the failure cases, by placeholder: the tables above,
+    a labelled table of three blobs in two columns (``blobs``), an lda
+    model of two inputs, three broken copies of it, and mixtures of two
+    and three inputs."""
+    model = serialize_model(lda_fit(_labeled_dataset(21, p=2), 1), "0" * 16)
+    lines = model.splitlines()
+    texts = {
+        "collinear": _COLLINEAR, "one_class": _ONE_CLASS,
+        "constant": _CONSTANT, "grouped": _GROUPED,
+        "pair_class": _PAIR_CLASS, "constant_labelled": _CONSTANT_LABELLED,
+        "two_class": _TWO_CLASS, "model": model,
+        "truncated": "\n".join(lines[:-1]) + "\n",
+        "unknown": model.replace("type\tlda", "type\tqda"),
+        "unlabelled": "\n".join(ln for ln in lines
+                                if not ln.startswith("labels\t")) + "\n",
+    }
+    for name, p in (("gmm", 2), ("gmm3", 3)):
+        gmm = GmmModel(weights=[0.5, 0.5], means=np.arange(2 * p).reshape(
+            2, p) / 2.0, covariances=np.stack([np.eye(p)] * 2))
+        texts[name] = serialize_model(gmm, "0" * 16)
+    files = {name: _write(tmp_path / name, text)
+             for name, text in texts.items()}
+    files["blobs"] = _blob_csv(tmp_path / "blobs.csv", seed=21)
+    return files
+
+
+@pytest.mark.parametrize("data, argv, rc, line", [
+    ("collinear", ["evaluate", "--labels", "y", "--method", "rda,lda,save"],
      4, "error: every grid point failed: total covariance is numerically "
         "singular"),
-    (_ONE_CLASS, ["fit", "--labels", "y", "--method", "opgd"], 3,
+    ("one_class", ["fit", "--labels", "y", "--method", "opgd"], 3,
      _ONE_CLASS_ERROR),
-    (_ONE_CLASS, ["fit", "--labels", "y", "--method", "rda"], 3,
+    ("one_class", ["fit", "--labels", "y", "--method", "rda"], 3,
      _ONE_CLASS_ERROR),
-    (_ONE_CLASS, ["fit", "--labels", "y", "--method", "save"], 3,
+    ("one_class", ["fit", "--labels", "y", "--method", "save"], 3,
      _ONE_CLASS_ERROR),
-    (_ONE_CLASS, ["fit", "--labels", "y", "--method", "lda", "--dim", "1"],
+    ("one_class", ["fit", "--labels", "y", "--method", "lda", "--dim", "1"],
      3, _ONE_CLASS_ERROR),
-    (_ONE_CLASS, ["features", "--labels", "y"], 3, _ONE_CLASS_ERROR),
-    (_ONE_CLASS, ["evaluate", "--labels", "y", "--method",
-                  "opgd,lda,rda,save"], 3, _ONE_CLASS_ERROR),
-    (_CONSTANT, ["cluster", "--clusters", "2"], 3, _NO_VARIANCE_ERROR),
-    (_CONSTANT, ["cluster", "--clusters", "2", "--pca-threshold", "0.99"],
+    ("one_class", ["features", "--labels", "y"], 3, _ONE_CLASS_ERROR),
+    ("one_class", ["evaluate", "--labels", "y", "--method",
+                   "opgd,lda,rda,save"], 3, _ONE_CLASS_ERROR),
+    ("constant", ["cluster", "--clusters", "2"], 3, _NO_VARIANCE_ERROR),
+    ("constant", ["cluster", "--clusters", "2", "--pca-threshold", "0.99"],
      3, _NO_VARIANCE_ERROR),
-    (_CONSTANT, ["cluster", "--clusters", "2", "--init-gmm", "{gmm}"], 3,
+    ("constant", ["cluster", "--clusters", "2", "--init-gmm", "{gmm}"], 3,
      _NO_VARIANCE_ERROR),
-    (_GROUPED, ["evaluate", "--labels", "y", "--method", "rda", "--folds",
-                "3", "--group", "g"], 3,
+    ("grouped", ["evaluate", "--labels", "y", "--method", "rda", "--folds",
+                 "3", "--group", "g"], 3,
      "error: the training rows of fold 0 hold no observation of class 3"),
-    (_PAIR_CLASS, ["evaluate", "--labels", "y", "--method", "rda"], 3,
+    ("pair_class", ["evaluate", "--labels", "y", "--method", "rda"], 3,
      "error: every grid point failed: class 3 has 1 observation(s)"),
+    ("constant_labelled", ["fit", "--labels", "y", "--drop-constant"], 3,
+     "error: {constant_labelled}: no feature columns remain"),
+    ("blobs", ["predict", "--model", "{truncated}"], 3,
+     "error: truncated array block for 'priors'"),
+    ("blobs", ["predict", "--model", "{unknown}"], 3,
+     "error: unknown model type 'qda'"),
+    ("blobs", ["predict", "--model", "{unlabelled}"], 3,
+     "error: model file is missing the labels line"),
+    ("blobs", ["fit"], 2, "error: fit requires --labels"),
+    ("blobs", ["features"], 2, "error: features requires --labels"),
+    ("blobs", ["evaluate"], 2, "error: evaluate requires --labels"),
+    ("blobs", ["cluster", "--labels", "y", "--clusters", "3", "--init-gmm",
+               "{model}"], 2, "error: {model} is not a gmm model file"),
+    ("blobs", ["cluster", "--labels", "y", "--clusters", "2", "--init-gmm",
+               "{gmm3}"], 3,
+     "error: initial mixture has 3 dims, data has 2 (after any "
+     "pre-filter)"),
+    ("blobs", ["evaluate", "--labels", "y", "--method", "lda", "--grid",
+               ","], 2, "error: empty --grid"),
+    ("blobs", ["evaluate", "--labels", "y", "--method", "lda", "--folds",
+               "3", "--test", "{two_class}"], 3,
+     "error: train and test label sets differ"),
+    ("blobs", ["cluster", "--clusters", "500"], 3,
+     "error: need at least K=500 observations, got 120"),
+    ("blobs", ["evaluate", "--labels", "y", "--method", "lda", "--grid",
+               "1,5"], 0,
+     "warning: lda grid point 5 failed: r must be at most K-1 = 2, got 5"),
 ], ids=["collinear-evaluate-save", "one-class-fit-opgd", "one-class-fit-rda",
         "one-class-fit-save", "one-class-fit-lda", "one-class-features",
         "one-class-evaluate", "constant-cluster", "constant-cluster-pca",
         "constant-cluster-init-gmm", "fold-without-class-evaluate",
-        "split-with-one-row-of-class-evaluate"])
-def test_failure_ends_with_the_code_of_its_cause(tmp_path, capsys, table,
-                                                 argv, rc, error):
-    """A degenerate table ends with the exit code of its cause and one
-    ``error:`` line naming it, after any ``warning:`` lines: one class
-    is a data error for every classifier, a table where no column varies
-    is one for ``cluster`` on every path, a training part without a
-    class is one before any fit, and a fully failed grid ends with the
-    code its failures share."""
-    data = _write(tmp_path / "d.csv", table)
-    gmm = GmmModel(weights=[0.5, 0.5], means=[[1.0, 2.0], [1.5, 2.5]],
-                   covariances=np.stack([np.eye(2)] * 2))
-    init = _write(tmp_path / "init.gmm", serialize_model(gmm, "0" * 16))
-    argv = [arg.replace("{gmm}", init) for arg in argv]
+        "split-with-one-row-of-class-evaluate", "no-feature-columns",
+        "truncated-array-block", "unknown-model-type", "no-labels-line",
+        "fit-without-labels", "features-without-labels",
+        "evaluate-without-labels", "init-gmm-not-a-mixture",
+        "init-gmm-other-dims", "empty-grid", "test-label-sets-differ",
+        "more-clusters-than-rows", "failed-grid-point-warns"])
+def test_failure_ends_with_the_code_of_its_cause(tmp_path, capsys, data,
+                                                 argv, rc, line):
+    """A named failure ends a run with the exit code of its cause and one
+    ``error:`` line naming it, after any ``warning:`` lines, with no
+    traceback and no output, manifest or temporary file left behind: one
+    class is a data error for every classifier, a table where no column
+    varies is one for ``cluster`` on every path, a training part without
+    a class is one before any fit, and a fully failed grid ends with the
+    code its failures share. A grid point that fails leaves a
+    ``warning:`` line, and the run goes on to exit 0."""
+    files = _failure_files(tmp_path)
+    argv = [arg.format(**files) for arg in argv]
     out = tmp_path / "out"
-    assert _main_as_console([argv[0], "--data", data, *argv[1:],
+    assert _main_as_console([argv[0], "--data", files[data], *argv[1:],
                              "--out", str(out)]) == rc
-    lines = capsys.readouterr().err.splitlines()
-    assert all(line.startswith("warning: ") for line in lines[:-1])
-    assert lines[-1].startswith(error)
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert all(ln.startswith("warning: ") for ln in lines[:-1])
+    assert lines[-1].startswith(line.format(**files))
+    assert out.exists() == (rc == 0)
+    assert (tmp_path / "out.manifest").exists() == (rc == 0)
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".opgd-tmp")]
 
 
 def test_class_model_has_no_model_file():
@@ -1211,7 +1279,8 @@ def test_degenerate_tables_end_in_a_named_exit(tmp_path_factory, table):
 
 def test_no_scipy_at_run_time(tmp_path):
     """A fresh interpreter that fits, predicts and clusters through the
-    CLI never imports scipy."""
+    CLI never imports scipy, nor ``numpy.ma``, which numpy's first
+    ``unique`` of a process imports."""
     data = _blob_csv(tmp_path / "d.csv", seed=14)
     model = str(tmp_path / "m.lda")
     calls = [
@@ -1228,7 +1297,8 @@ def test_no_scipy_at_run_time(tmp_path):
               f"for argv in {calls!r}:\n"
               "    assert opgd.cli.main(argv) == 0, argv\n"
               "print(sorted(m for m in sys.modules\n"
-              "             if m.split('.')[0] == 'scipy'))\n")
+              "             if m.split('.')[0] == 'scipy'\n"
+              "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(opgd.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", script], env=env,
@@ -1266,3 +1336,39 @@ def test_library_warnings_print_one_line(tmp_path, first_cov_diag, rc):
     assert all(line.startswith(("warning: ", "error: ")) for line in lines)
     assert (lines[-1].startswith("error: ")) == (rc != 0)
     assert ".py" not in run.stderr and "warnings.warn" not in run.stderr
+
+
+@pytest.mark.parametrize("header, test_header, argv, line", [
+    ("a,a,y", "a,a,y", ["--folds", "3", "--test", "{test}"],
+     "error: {test}: the header holds 'a' more than once"),
+    ("a,a,y", "a,b,y", ["--folds", "3", "--test", "{test}"],
+     "error: {test}: the feature columns name 'a' twice"),
+    ("a,g,g,y", None, ["--folds", "3", "--group", "g"],
+     "error: {data}: the header holds 'g' more than once"),
+    ("a,y,y", None, [],
+     "error: {data}: the header holds 'y' more than once"),
+], ids=["test-header", "test-feature-list", "group", "labels"])
+def test_a_column_looked_up_by_a_name_held_twice_is_a_data_error(
+        tmp_path, capsys, header, test_header, argv, line):
+    """A name looked up in a header that holds it twice, or a list of
+    feature columns that names a column twice, is a data error naming
+    the column: the first copy is not used in silence."""
+    rng = np.random.default_rng(22)
+    y = np.repeat([1, 2, 3], 20)
+    width = header.count(",")
+    # every copy of a column holds what its name says
+    cells = {"a": rng.standard_normal(60), "g": np.arange(60) % 4, "y": y}
+    files = {"data": _write(tmp_path / "d.csv", _table(
+        header, np.column_stack([cells[c] for c in header.split(",")[:-1]]),
+        y))}
+    if test_header is not None:
+        files["test"] = _write(tmp_path / "t.csv", _table(
+            test_header, rng.standard_normal((60, width)), y))
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--data", files["data"], "--labels", "y",
+               "--method", "lda", *[a.format(**files) for a in argv],
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == line.format(**files) + "\n"
+    assert not out.exists()

@@ -200,6 +200,23 @@ class TestMakeFolds:
             folds = np.unique(plan.assignment[groups == g])
             assert folds.shape == (1,)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grouped_assignment_is_the_loop_over_groups(self, seed):
+        """Dealing the shuffled groups to folds by one lookup gives the
+        assignment of masking the rows of each group in turn."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 400))
+        names = np.array([f"g{v}" for v in rng.integers(0, 10 ** 6, 40)])
+        grouping = names[rng.integers(0, int(rng.integers(3, 41)), n)]
+        groups = np.unique(grouping)
+        k = int(rng.integers(2, groups.shape[0] + 1))
+        expected = np.empty(n, dtype=int)
+        order = np.random.default_rng(seed).permutation(groups.shape[0])
+        for slot, gi in enumerate(order):
+            expected[grouping == groups[gi]] = slot % k
+        plan = make_folds(n, k, grouping=grouping, seed=seed)
+        np.testing.assert_array_equal(plan.assignment, expected)
+
     def test_k_exceeding_groups_rejected(self):
         groups = np.repeat([0, 1, 2], 5)
         with pytest.raises(ConfigError):
