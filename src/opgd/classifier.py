@@ -25,17 +25,6 @@ from .optimizer import OptimConfig, _normalize_columns, discriminant_directions,
     init_projection, maximize, order_columns
 
 
-def _label_names(label_names, K: int) -> tuple[str, ...]:
-    """``label_names`` as a tuple, ``"1".."K"`` when ``None``; a count
-    other than ``K`` is a ``ConfigError``."""
-    if label_names is None:
-        return tuple(str(k) for k in range(1, K + 1))
-    names = tuple(label_names)
-    if len(names) != K:
-        raise ConfigError(f"{len(names)} label names for {K} classes")
-    return names
-
-
 def _two_classes(train: Dataset) -> Dataset:
     """``train``, unless its labels name one class: a classifier has
     nothing to tell apart there, a ``DataError``."""
@@ -50,7 +39,7 @@ def _as_matrix(X, p: int):
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != p:
-        raise ValueError(f"expected points with {p} coordinates, got {X.shape}")
+        raise DataError(f"expected points with {p} coordinates, got {X.shape}")
     return X
 
 
@@ -100,17 +89,17 @@ class OpgdModel:
 
 
 def fit_opgd(train: Dataset, dim: int, config: OptimConfig | None = None,
-             V0=None, label_names=None) -> OpgdModel:
+             V0=None) -> OpgdModel:
     """Fit the projected Gaussian classifier.
 
     Pipeline: class-moment estimation, warm start (skipped when ``V0``
     is supplied), monotone L-BFGS ascent, unit-norm column rescaling
     (the objective is invariant to positive column scaling), greedy
-    likelihood ordering of the columns, parameter freeze.
+    likelihood ordering of the columns, parameter freeze. The model
+    carries the class names of ``train``.
     """
     config = config if config is not None else OptimConfig()
-    names = _label_names(label_names, _two_classes(train).K)
-    model = estimate_class_model(train, names)
+    model = estimate_class_model(_two_classes(train))
     if not 1 <= dim <= model.p:
         raise ConfigError(f"dim must lie in [1, {model.p}], got {dim}")
     clamp = ClampStats()
@@ -129,7 +118,7 @@ def fit_opgd(train: Dataset, dim: int, config: OptimConfig | None = None,
         projected_means=model.means @ V,
         projected_vars=projected_variances(V, model.covariances, clamp),
         priors=model.priors,
-        label_names=names,
+        label_names=train.label_names,
         diagnostics=FitDiagnostics(iterations=len(trace) - 1,
                                    final_objective=float(trace[-1]),
                                    clamp_count=clamp.count,
@@ -185,18 +174,16 @@ class LdaModel:
         return self.projection.shape[0]
 
 
-def lda_fit(train: Dataset, r: int, ridge_frac: float = 1e-6,
-            label_names=None) -> LdaModel:
+def lda_fit(train: Dataset, r: int, ridge_frac: float = 1e-6) -> LdaModel:
     """Reduced-rank LDA: project onto ``r`` discriminant directions and
     classify with the shared pooled covariance there."""
-    names = _label_names(label_names, _two_classes(train).K)
-    model = estimate_class_model(train, names)
+    model = estimate_class_model(_two_classes(train))
     scatter = compute_scatter(train, model)
     V = lda_features(scatter, r, n_classes=model.K, ridge_frac=ridge_frac)
     return LdaModel(projection=V,
                     means=model.means @ V,
                     covariance=symmetrize(V.T @ scatter.within @ V),
-                    priors=model.priors, label_names=names)
+                    priors=model.priors, label_names=train.label_names)
 
 
 def lda_predict(model: LdaModel, X):
@@ -210,19 +197,19 @@ def lda_predict(model: LdaModel, X):
 # ---------------------------------------------------------------------------
 # SAVE
 
-def save_features(dataset: Dataset, r: int, label_names=None):
+def save_features(dataset: Dataset, r: int):
     """Sliced average variance estimation directions.
 
     Sphere the data, form ``M = sum_k prior_k (I - Sigma_k)^2`` from the
     sphered class covariances, take the top-``r`` eigenvectors, and map
     them back through the sphering transform. Raises a collinearity
     error when the total covariance is singular, and names a class with
-    too few rows by its entry in ``label_names`` when given.
+    too few rows by its label.
     """
     if not 1 <= r <= dataset.p:
         raise ConfigError(f"r must lie in [1, {dataset.p}], got {r}")
     sphered, T = sphere(dataset)
-    model = estimate_class_model(sphered, label_names)
+    model = estimate_class_model(sphered)
     eye = np.eye(dataset.p)
     M = np.zeros((dataset.p, dataset.p))
     for k in range(model.K):
@@ -250,15 +237,14 @@ class SaveModel:
         return self.projection.shape[0]
 
 
-def save_fit(train: Dataset, r: int, label_names=None) -> SaveModel:
+def save_fit(train: Dataset, r: int) -> SaveModel:
     """SAVE features plus a quadratic Gaussian read-out in the subspace."""
-    names = _label_names(label_names, _two_classes(train).K)
-    V = save_features(train, r, names)
-    proj = Dataset(frozen(train.X @ V), train.labels)
-    model = estimate_class_model(proj, names)
+    V = save_features(_two_classes(train), r)
+    proj = Dataset(frozen(train.X @ V), train.labels, train.label_names)
+    model = estimate_class_model(proj)
     return SaveModel(projection=V, means=model.means,
                      covariances=model.covariances, priors=model.priors,
-                     label_names=names)
+                     label_names=train.label_names)
 
 
 def save_predict(model: SaveModel, X):
@@ -283,7 +269,7 @@ class RdaModel:
         return self.means.shape[1]
 
 
-def rda_fit(train: Dataset, alpha: float, label_names=None) -> RdaModel:
+def rda_fit(train: Dataset, alpha: float) -> RdaModel:
     """Gaussian discriminant with covariances alpha*Sigma_k + (1-alpha)*W.
 
     alpha = 1 is quadratic discriminant analysis; alpha = 0 shares the
@@ -291,12 +277,11 @@ def rda_fit(train: Dataset, alpha: float, label_names=None) -> RdaModel:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    names = _label_names(label_names, _two_classes(train).K)
-    model = estimate_class_model(train, names)
+    model = estimate_class_model(_two_classes(train))
     scatter = compute_scatter(train, model)
     blended = alpha * model.covariances + (1.0 - alpha) * scatter.within
     return RdaModel(alpha=float(alpha), means=model.means, covariances=blended,
-                    priors=model.priors, label_names=names)
+                    priors=model.priors, label_names=train.label_names)
 
 
 def rda_predict(model: RdaModel, X):

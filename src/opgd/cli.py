@@ -93,7 +93,6 @@ def _atomic_write(path: str, text):
 class IngestResult:
     dataset: Dataset
     feature_names: tuple[str, ...]
-    label_names: tuple[str, ...]      # original names, index = class id - 1
     dropped_columns: tuple[str, ...]
     groups: np.ndarray | None         # raw group keys, aligned with rows
 
@@ -236,17 +235,18 @@ def ingest_csv(path: str, label_column: str | None = None,
 
     The label column (when named) is mapped to contiguous class ids
     1..K, numerically when every value parses as a number, otherwise
-    lexically; original names are kept. The feature columns are the
-    others or, when ``feature_columns`` names them, those columns in
-    that order, matched by name: a missing one is a ``DataError`` naming
-    it, and the columns left over are not parsed. A column looked up by
-    name (label, group or feature) must occur once in the header, and
-    ``feature_columns`` must name each column once; either fault is a
-    ``DataError`` naming the column. Constant feature
-    columns are dropped when requested, then an optional i.i.d.
-    Gaussian perturbation with per-column sd ``perturb_sd * column_sd``
-    is added in place using ``seed``. Faults name the file line number:
-    a block the reader rejects is searched for the row at fault.
+    lexically; the dataset keeps the original text of each as the name
+    of its class. The feature columns are the others or, when
+    ``feature_columns`` names them, those columns in that order, matched
+    by name: a missing one is a ``DataError`` naming it, and the columns
+    left over are not parsed. A column looked up by name (label, group
+    or feature) must occur once in the header, and ``feature_columns``
+    must name each column once; either fault is a ``DataError`` naming
+    the column. Constant feature columns are dropped when requested,
+    then an optional i.i.d. Gaussian perturbation with per-column sd
+    ``perturb_sd * column_sd`` is added in place using ``seed``. Faults
+    name the file line number: a block the reader rejects is searched
+    for the row at fault.
     """
     if not (np.isfinite(perturb_sd) and perturb_sd >= 0):
         raise ConfigError("perturb sd fraction must be a finite non-negative "
@@ -343,8 +343,7 @@ def ingest_csv(path: str, label_column: str | None = None,
             X[lo:lo + _BLOCK_ROWS] += noise
     X.setflags(write=False)
 
-    labels = None
-    label_names: tuple[str, ...] = ()
+    labels = label_names = None
     if "label" in special:
         raw = list(codes[special["label"]])
         try:
@@ -364,9 +363,8 @@ def ingest_csv(path: str, label_column: str | None = None,
     if "group" in special:
         groups = np.array(list(codes[special["group"]]))[code_cols["group"]]
 
-    return IngestResult(dataset=Dataset(X, labels),
+    return IngestResult(dataset=Dataset(X, labels, label_names=label_names),
                         feature_names=tuple(feature_names),
-                        label_names=label_names,
                         dropped_columns=dropped,
                         groups=groups)
 
@@ -612,14 +610,14 @@ def _ingest(args, group_column: str | None = None):
 
 def _fit_model(args, ing, opt: OptimConfig):
     """The ``--method`` model fitted to the ingested table."""
-    ds, names = ing.dataset, ing.label_names
+    ds = ing.dataset
     if args.method == "opgd":
-        return fit_opgd(ds, args.dim, opt, label_names=names)
+        return fit_opgd(ds, args.dim, opt)
     if args.method == "lda":
-        return lda_fit(ds, args.dim, opt.ridge_frac, label_names=names)
+        return lda_fit(ds, args.dim, opt.ridge_frac)
     if args.method == "save":
-        return save_fit(ds, args.dim, label_names=names)
-    return rda_fit(ds, args.alpha, label_names=names)
+        return save_fit(ds, args.dim)
+    return rda_fit(ds, args.alpha)
 
 
 def cmd_fit(args) -> int:
@@ -640,6 +638,8 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model, _source_id = _read_model(args.model)
+    if _TYPE_OF[type(model)] not in _PREDICTORS:
+        raise ConfigError(f"{args.model} is not a classifier model file")
     ing = ingest_csv(args.data, label_column=args.labels, seed=args.seed)
     manifest = make_manifest("predict", args.data, args.seed,
                              model=args.model, labels=args.labels)
@@ -655,7 +655,7 @@ def cmd_predict(args) -> int:
     write_manifest(manifest, args.out + ".manifest")
     print(f"manifest\t{manifest.manifest_id}")
     if ing.dataset.labels is not None:
-        truth = [ing.label_names[t - 1]
+        truth = [ing.dataset.label_names[t - 1]
                  for t in ing.dataset.labels.tolist()]
         err = misclassification_error(
             [names[lab - 1] for lab in pred.tolist()], truth)
@@ -671,7 +671,7 @@ def cmd_features(args) -> int:
                              method=args.method, dim=args.dim, **params)
     V = _fit_model(args, ing, opt).projection
     _write_coordinates(args.out, manifest.manifest_id, ing.dataset.X @ V,
-                       "label", (ing.label_names[t - 1]
+                       "label", (ing.dataset.label_names[t - 1]
                                  for t in ing.dataset.labels.tolist()))
     _write_projection(args.out + ".projection", manifest.manifest_id,
                       ing.feature_names, V)
@@ -770,7 +770,7 @@ def cmd_evaluate(args) -> int:
             test_ing = ingest_csv(args.test, label_column=args.labels,
                                   perturb_sd=args.perturb, seed=args.seed,
                                   feature_columns=ing.feature_names)
-            if test_ing.label_names != ing.label_names:
+            if test_ing.dataset.label_names != train.label_names:
                 raise DataError("train and test label sets differ")
             test_X, test_labels = test_ing.dataset.X, test_ing.dataset.labels
     else:
@@ -780,13 +780,12 @@ def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise ConfigError(f"--method names no method: {args.method!r}")
-    model = estimate_class_model(train, ing.label_names)
+    model = estimate_class_model(train)
     rows = []
     for method in methods:
         grid = _parse_grid(args.grid) if args.grid \
             else default_grid(method, train.p, model.K)
-        result = grid_search(method, grid, train, plan, opt_config=opt,
-                             label_names=ing.label_names)
+        result = grid_search(method, grid, train, plan, opt_config=opt)
         chosen = [e for h, e in result.val_errors if h == result.best_hyper][0]
         test_err = ""
         if test_X is not None:

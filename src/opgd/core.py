@@ -3,8 +3,10 @@
 Conventions used throughout the package:
 
 * observations are stored row-wise, ``X`` is ``n x p``;
-* class labels are contiguous integers ``1..K`` (ingestion remaps
-  arbitrary label values and keeps the mapping);
+* class labels are contiguous integers ``1..K``, and the
+  :class:`Dataset` that holds them keeps the name of each class
+  (ingestion remaps arbitrary label values to ids and keeps their text
+  as the names), so every fit, model and error reads the names there;
 * all covariance estimates are maximum likelihood: per-class divisor
   ``n_k``, pooled divisor ``n``, so that within + between = total holds
   exactly.
@@ -107,7 +109,8 @@ def symmetrize(S):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Row-major observation matrix with optional integer class labels.
+    """Row-major observation matrix with optional integer class labels
+    and the names of their classes.
 
     Parameters
     ----------
@@ -115,6 +118,12 @@ class Dataset:
         Observations, one per row. Entries must be finite.
     labels : ndarray of int, shape (n,), optional
         Class ids in ``1..K``. Every id in that range must occur.
+    label_names : sequence of str, optional
+        The name of each class, ``label_names[k - 1]`` for id ``k``; kept
+        as a tuple of ``str``, ``"1".."K"`` when not given. Fitted models carry
+        these names and errors name a class by them. A count other than
+        ``K`` is a ``ConfigError``; names without labels are a
+        ``DataError``.
 
     Both are kept read-only. An array that is already read-only, of the
     stored dtype and C-contiguous, and that views no writable array, is
@@ -125,6 +134,7 @@ class Dataset:
 
     X: np.ndarray
     labels: np.ndarray | None = None
+    label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -135,18 +145,28 @@ class Dataset:
                    for lo in range(0, X.shape[0], rows)):
             raise DataError("observation matrix contains non-finite entries")
         object.__setattr__(self, "X", _readonly(X))
-        if self.labels is not None:
-            y = np.asarray(self.labels, dtype=int)
-            if y.shape != (X.shape[0],):
-                raise DataError(
-                    f"labels must have shape ({X.shape[0]},), got {y.shape}"
-                )
-            if y.min() < 1:
-                raise DataError("labels must be 1-based contiguous integers")
-            missing = np.flatnonzero(np.bincount(y)[1:] == 0) + 1
-            if missing.size:
-                raise DataError(f"label ids {missing.tolist()} never occur")
-            object.__setattr__(self, "labels", _readonly(y, int))
+        if self.labels is None:
+            if self.label_names is not None:
+                raise DataError("label names were given without labels")
+            return
+        y = np.asarray(self.labels, dtype=int)
+        if y.shape != (X.shape[0],):
+            raise DataError(
+                f"labels must have shape ({X.shape[0]},), got {y.shape}"
+            )
+        if y.min() < 1:
+            raise DataError("labels must be 1-based contiguous integers")
+        missing = np.flatnonzero(np.bincount(y)[1:] == 0) + 1
+        if missing.size:
+            raise DataError(f"{missing.size} label id(s) never occur, "
+                            f"the first being {missing[:5].tolist()}")
+        object.__setattr__(self, "labels", _readonly(y, int))
+        K = int(y.max())
+        names = tuple(map(str, range(1, K + 1) if self.label_names is None
+                          else self.label_names))
+        if len(names) != K:
+            raise ConfigError(f"{len(names)} label names for {K} classes")
+        object.__setattr__(self, "label_names", names)
 
     @property
     def n(self) -> int:
@@ -159,7 +179,7 @@ class Dataset:
     @property
     def K(self) -> int | None:
         """Number of classes, present iff labels are present."""
-        return int(self.labels.max()) if self.labels is not None else None
+        return len(self.label_names) if self.labels is not None else None
 
     @cached_property
     def label_index(self):
@@ -260,17 +280,21 @@ class ScatterMatrices:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-def estimate_class_model(dataset: Dataset,
-                         label_names=None) -> GaussianClassModel:
+def _require_labels(dataset: Dataset) -> Dataset:
+    """``dataset``, unless it is unlabeled: a ``DataError``."""
+    if dataset.labels is None:
+        raise DataError("a labeled dataset is required")
+    return dataset
+
+
+def estimate_class_model(dataset: Dataset) -> GaussianClassModel:
     """Estimate priors, class means and MLE class covariances.
 
     Parameters
     ----------
     dataset : Dataset
-        Must be labeled, with at least two observations per class.
-    label_names : sequence of str, optional
-        The name of each class id, ``label_names[k - 1]`` for id ``k``;
-        an error names a class by it, or by its id when it is not given.
+        Must be labeled, with at least two observations per class; an
+        error names a class by its entry in ``dataset.label_names``.
 
     Returns
     -------
@@ -281,8 +305,7 @@ def estimate_class_model(dataset: Dataset,
     DegenerateClassError
         If some class has fewer than two observations.
     """
-    if dataset.labels is None:
-        raise DataError("estimate_class_model requires a labeled dataset")
+    _require_labels(dataset)
     X, y = dataset.X, dataset.labels
     n, p = X.shape
     K = dataset.K
@@ -291,8 +314,7 @@ def estimate_class_model(dataset: Dataset,
     if small.size:
         k = small[0]
         raise DegenerateClassError(
-            f"class {k + 1 if label_names is None else label_names[k]} has "
-            f"{counts[k]} observation(s); "
+            f"class {dataset.label_names[k]} has {counts[k]} observation(s); "
             "need at least 2 per class"
         )
     means = np.empty((K, p))
@@ -313,8 +335,7 @@ def compute_scatter(dataset: Dataset, model: GaussianClassModel) -> ScatterMatri
     (mu_k - mu)(mu_k - mu)'`` and ``total = within + between``, which
     equals the covariance matrix of all of the data.
     """
-    if dataset.labels is None:
-        raise DataError("compute_scatter requires a labeled dataset")
+    _require_labels(dataset)
     n = dataset.n
     w = model.counts / n
     grand_mean = w @ model.means
@@ -382,10 +403,10 @@ def sphere(dataset: Dataset):
     Returns
     -------
     (Dataset, ndarray)
-        The sphered dataset (labels carried over) and the ``p x p``
-        transform ``T`` with ``sphered = (X - mean(X)) @ T``. Feature
-        directions found in the sphered space map back to input
-        coordinates as ``T @ u``.
+        The sphered dataset (labels and their names carried over) and
+        the ``p x p`` transform ``T`` with ``sphered = (X - mean(X)) @
+        T``. Feature directions found in the sphered space map back to
+        input coordinates as ``T @ u``.
 
     Raises
     ------
@@ -406,4 +427,4 @@ def sphere(dataset: Dataset):
             "columns (--drop-constant removes the constant ones)"
         )
     T = symmetrize(Q @ ((1.0 / np.sqrt(w)) * Q).T)
-    return Dataset(X=frozen(D @ T), labels=dataset.labels), T
+    return Dataset(frozen(D @ T), dataset.labels, dataset.label_names), T

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NAMED_FAILURES, ConfigError, DataError, Dataset, \
-    NumericalError, exit_code, frozen
-from .classifier import _label_names, _two_classes, fit_opgd, lda_fit, \
+    NumericalError, _require_labels, exit_code, frozen
+from .classifier import _two_classes, fit_opgd, lda_fit, \
     lda_predict, predict as opgd_predict, rda_fit, rda_predict, save_fit, \
     save_predict
 from .optimizer import OptimConfig
@@ -177,19 +177,17 @@ def make_folds(n: int, k: int, grouping=None, seed: int = 0) -> FoldPlan:
 
 
 def _fit_method(method: str, train: Dataset, hyper,
-                opt_config: OptimConfig | None, V0=None, label_names=None):
-    """The ``method`` model fitted to ``train``; ``label_names``, when
-    given, name its classes and the classes its errors name."""
-    named = {} if label_names is None else {"label_names": label_names}
+                opt_config: OptimConfig | None, V0=None):
+    """The ``method`` model fitted to ``train``."""
     if method == "opgd":
-        return fit_opgd(train, hyper, opt_config, V0=V0, **named)
+        return fit_opgd(train, hyper, opt_config, V0=V0)
     if method == "lda":
         config = opt_config if opt_config is not None else OptimConfig()
-        return lda_fit(train, hyper, config.ridge_frac, **named)
+        return lda_fit(train, hyper, config.ridge_frac)
     if method == "rda":
-        return rda_fit(train, hyper, **named)
+        return rda_fit(train, hyper)
     if method == "save":
-        return save_fit(train, hyper, **named)
+        return save_fit(train, hyper)
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -227,12 +225,12 @@ _ERROR_OF_CODE = {kind.exit_code: kind
 
 
 def _subset(dataset: Dataset, idx) -> Dataset:
-    return Dataset(frozen(dataset.X[idx]), frozen(dataset.labels[idx]))
+    return Dataset(frozen(dataset.X[idx]), frozen(dataset.labels[idx]),
+                   dataset.label_names)
 
 
 def grid_search(method: str, grid, train: Dataset, plan,
-                opt_config: OptimConfig | None = None,
-                label_names=None) -> GridSearchResult:
+                opt_config: OptimConfig | None = None) -> GridSearchResult:
     """Select a hyper-parameter by validation or cross-validation error.
 
     ``plan`` is a :class:`SplitPlan` (fit on its train part, score on
@@ -241,16 +239,15 @@ def grid_search(method: str, grid, train: Dataset, plan,
     on it, refit on everything). Ties go to the smallest hyper-parameter;
     dimensions are integers (``2.0`` is one), ``rda``'s blends floats,
     and a value the grid repeats is fitted once.
-    Data with one class, or a training part without some class, is a
-    ``DataError``, raised before any fit. Grid points whose fit raises
-    a named failure (see :data:`~opgd.core.NAMED_FAILURES`) are
-    recorded and skipped; only a fully failed grid raises, with the kind
-    of error its failures share (a ``ConfigError`` when their kinds
+    Unlabeled data, data with one class, or a training part without some
+    class, is a ``DataError``, raised before any fit. Grid points whose
+    fit raises a named failure (see :data:`~opgd.core.NAMED_FAILURES`)
+    are recorded and skipped; only a fully failed grid raises, with the
+    kind of error its failures share (a ``ConfigError`` when their kinds
     differ), naming their cause once when they share one. On a split,
     the ``opgd`` refit is warm-started from the winning validation
-    model's projection. Errors name a class by its entry in
-    ``label_names`` when given, else by its id; the models carry the
-    names.
+    model's projection. Errors name a class by its label, and the models
+    carry the class names of ``train``.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -263,13 +260,11 @@ def grid_search(method: str, grid, train: Dataset, plan,
         grid = [int(h) for h in grid]
     if not grid:
         raise ConfigError("empty hyper-parameter grid")
+    _two_classes(_require_labels(train))
     if isinstance(plan, SplitPlan):
         pairs = [(plan.train, plan.val)]
-        refit = _subset(train, np.concatenate([plan.train, plan.val]))
     else:
         pairs = [plan.fold_indices(fold) for fold in range(plan.k)]
-        refit = train
-    names = _label_names(label_names, _two_classes(train).K)
     for part, (fit_rows, _) in enumerate(pairs):
         missing = np.flatnonzero(np.bincount(train.labels[fit_rows],
                                              minlength=train.K + 1)[1:] == 0)
@@ -277,7 +272,10 @@ def grid_search(method: str, grid, train: Dataset, plan,
             where = "the split's training rows" if len(pairs) == 1 \
                 else f"the training rows of fold {part}"
             raise DataError(f"{where} hold no observation of class " +
-                            ", ".join(names[k] for k in missing.tolist()))
+                            ", ".join(train.label_names[k]
+                                      for k in missing.tolist()))
+    refit = _subset(train, np.concatenate([plan.train, plan.val])) \
+        if isinstance(plan, SplitPlan) else train
 
     val_errors = []
     failures = []
@@ -288,7 +286,7 @@ def grid_search(method: str, grid, train: Dataset, plan,
         try:
             for fit_rows, score_rows in pairs:
                 fit = _fit_method(method, _subset(train, fit_rows), h,
-                                  opt_config, label_names=label_names)
+                                  opt_config)
                 pred = _predict_method(method, fit, train.X[score_rows])
                 wrong += int(np.sum(pred != train.labels[score_rows]))
                 n_scored += len(score_rows)
@@ -310,8 +308,7 @@ def grid_search(method: str, grid, train: Dataset, plan,
             else "; ".join(f"{h}: {m}" for h, m in failures)))
     best_hyper = min(scored, key=lambda he: (he[1], he[0]))[0]
     model = _fit_method(method, refit, best_hyper, opt_config,
-                        V0=projections.get(best_hyper),
-                        label_names=label_names)
+                        V0=projections.get(best_hyper))
     return GridSearchResult(method=method, best_hyper=best_hyper, model=model,
                             val_errors=tuple(val_errors),
                             failures=tuple(failures))

@@ -94,7 +94,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import _BLOCK_ENTRIES, Dataset, GaussianClassModel, \
-    NumericalError, check_projection, symmetrize, variance_floors
+    NumericalError, _require_labels, check_projection, symmetrize, \
+    variance_floors
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -138,7 +139,7 @@ def projected_variances(V, covariances, clamp: ClampStats | None = None):
                                variance_floors(covariances), clamp)[1]
 
 
-def component_logsumexp(a, keepdims: bool = False):
+def component_logsumexp(a):
     """``log sum_k exp(a_ki)`` over the component axis (axis 0) of a
     ``(K, n)`` array.
 
@@ -158,8 +159,7 @@ def component_logsumexp(a, keepdims: bool = False):
     top = a == amax
     rest = np.where(top, 0.0, terms).sum(axis=0) \
         + (np.count_nonzero(top, axis=0) - 1)
-    out = np.log1p(rest) + amax
-    return out[None, :] if keepdims else out
+    return np.log1p(rest) + amax
 
 
 def bayes_posteriors(log_weights, log_dens):
@@ -372,11 +372,6 @@ def posteriors(dataset: Dataset, V, model: GaussianClassModel):
     """
     V = check_projection(V, model.p)
     return build_workspace(dataset.X, V, model).posteriors.T
-
-
-def _require_labels(dataset):
-    if dataset.labels is None:
-        raise ValueError("a labeled dataset is required")
 
 
 def classification_log_likelihood(dataset: Dataset, V,

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, Dataset, GaussianClassModel, NumericalError, \
-    ScatterMatrices, check_projection, symmetrize
+    ScatterMatrices, _require_labels, check_projection, symmetrize
 # Nothing here calls ``classification_log_likelihood`` any more; it stays
 # importable from this module because perfbench's tracer wraps it here.
-from .objective import ClampStats, _require_labels, build_workspace, \
+from .objective import ClampStats, build_workspace, \
     classification_log_likelihood, component_logsumexp, diag_log_densities, \
     grad_ell1, grad_ell2  # noqa: F401
 

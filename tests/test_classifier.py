@@ -96,17 +96,17 @@ class TestFitOpgd:
 
     def test_label_names_attached(self):
         ds = _blobs(6)
-        m = fit_opgd(ds, 1, OptimConfig(max_iters=5),
-                     label_names=("a", "b", "c"))
+        m = fit_opgd(Dataset(ds.X, ds.labels, label_names=("a", "b", "c")),
+                     1, OptimConfig(max_iters=5))
         assert m.label_names == ("a", "b", "c")
         with pytest.raises(ConfigError):
-            fit_opgd(ds, 1, label_names=("a",))
+            fit_opgd(Dataset(ds.X, ds.labels, label_names=("a",)), 1)
 
 
 @pytest.mark.parametrize("fit", [
-    lambda ds, names: lda_fit(ds, 1, label_names=names),
-    lambda ds, names: save_fit(ds, 1, label_names=names),
-    lambda ds, names: rda_fit(ds, 0.5, label_names=names),
+    lambda ds, names: lda_fit(Dataset(ds.X, ds.labels, names), 1),
+    lambda ds, names: save_fit(Dataset(ds.X, ds.labels, names), 1),
+    lambda ds, names: rda_fit(Dataset(ds.X, ds.labels, names), 0.5),
 ], ids=["lda", "save", "rda"])
 def test_baseline_label_names_match_class_count(fit):
     ds = _blobs(6)

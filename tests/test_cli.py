@@ -54,7 +54,7 @@ class TestIngest:
         assert ing.feature_names == ("a", "b")
         np.testing.assert_array_equal(ing.dataset.X, [[1, 2], [3, 4], [5, 6]])
         # lexical order: blue < red
-        assert ing.label_names == ("blue", "red")
+        assert ing.dataset.label_names == ("blue", "red")
         np.testing.assert_array_equal(ing.dataset.labels, [2, 1, 2])
 
     def test_tab_and_semicolon_sniffed(self, tmp_path):
@@ -70,13 +70,13 @@ class TestIngest:
         smaller; original spellings are preserved."""
         p = _write(tmp_path / "d.csv", "a,y\n1,10\n2,2\n3,10\n")
         ing = ingest_csv(p, label_column="y")
-        assert ing.label_names == ("2", "10")
+        assert ing.dataset.label_names == ("2", "10")
         np.testing.assert_array_equal(ing.dataset.labels, [2, 1, 2])
 
     def test_unlabeled(self, tmp_path):
         p = _write(tmp_path / "d.csv", "a,b\n1,2\n3,4\n")
         ing = ingest_csv(p)
-        assert ing.dataset.labels is None and ing.label_names == ()
+        assert ing.dataset.labels is None and ing.dataset.label_names is None
 
     def test_missing_label_column(self, tmp_path):
         p = _write(tmp_path / "d.csv", "a,b\n1,2\n")
@@ -217,7 +217,8 @@ class TestModelFiles:
 
     @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
     def test_label_a_file_cannot_store_is_refused(self, bad):
-        model = lda_fit(_labeled_dataset(1), 2, label_names=("x", bad, "z"))
+        ds = _labeled_dataset(1)
+        model = lda_fit(Dataset(ds.X, ds.labels, ("x", bad, "z")), 2)
         with pytest.raises(DataError, match="holds a tab or line break"):
             serialize_model(model)
 
@@ -1089,6 +1090,8 @@ def _failure_files(tmp_path):
      "error: unknown model type 'qda'"),
     ("blobs", ["predict", "--model", "{unlabelled}"], 3,
      "error: model file is missing the labels line"),
+    ("blobs", ["predict", "--model", "{gmm}"], 2,
+     "error: {gmm} is not a classifier model file"),
     ("blobs", ["fit"], 2, "error: fit requires --labels"),
     ("blobs", ["features"], 2, "error: features requires --labels"),
     ("blobs", ["evaluate"], 2, "error: evaluate requires --labels"),
@@ -1114,6 +1117,7 @@ def _failure_files(tmp_path):
         "constant-cluster-init-gmm", "fold-without-class-evaluate",
         "split-with-one-row-of-class-evaluate", "no-feature-columns",
         "truncated-array-block", "unknown-model-type", "no-labels-line",
+        "predict-with-a-mixture",
         "fit-without-labels", "features-without-labels",
         "evaluate-without-labels", "init-gmm-not-a-mixture",
         "init-gmm-other-dims", "empty-grid", "test-label-sets-differ",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from opgd import classifier, evaluation, objective, optimizer
 from opgd.core import (
     CollinearityError,
     ConfigError,
@@ -62,6 +63,21 @@ class TestDataset:
     def test_rejects_gappy_labels(self):
         with pytest.raises(DataError, match="never occur"):
             Dataset(X=np.eye(3), labels=[1, 3, 3])
+        with pytest.raises(DataError, match="never occur") as err:
+            Dataset(np.zeros((2, 1)), [1, 10**6])
+        assert len(str(err.value)) < 200
+
+    def test_names_its_classes(self):
+        """Names default to ``"1".."K"``, are kept as strings and set K;
+        an unlabeled dataset has none, and names without labels are a
+        data error."""
+        X = np.eye(3)
+        assert Dataset(X, [2, 1, 2]).label_names == ("1", "2")
+        assert Dataset(X, [2, 1, 2], [10, "b"]).label_names == ("10", "b")
+        assert Dataset(X, [2, 1, 2], ["a", "b"]).K == 2
+        assert Dataset(X).label_names is None
+        with pytest.raises(DataError, match="without labels"):
+            Dataset(X, label_names=["a"])
 
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(DataError):
@@ -151,9 +167,10 @@ class TestEstimateClassModel:
 
     def test_singleton_class_is_named_by_its_label(self):
         X = np.arange(10.0).reshape(5, 2)
-        ds = Dataset(X=X, labels=[1, 1, 2, 1, 1])
+        ds = Dataset(X=X, labels=[1, 1, 2, 1, 1],
+                     label_names=("setosa", "zz"))
         with pytest.raises(DegenerateClassError, match="^class zz has 1 "):
-            estimate_class_model(ds, ("setosa", "zz"))
+            estimate_class_model(ds)
 
     def test_covariances_symmetric(self):
         rng = np.random.default_rng(3)
@@ -249,9 +266,52 @@ class TestSphere:
         sph, _ = sphere(ds)
         np.testing.assert_array_equal(sph.labels, ds.labels)
 
+    def test_label_names_carried_over(self):
+        ds = _random_labeled(np.random.default_rng(11))
+        named = Dataset(ds.X, ds.labels, ("a", "b", "c"))
+        assert sphere(named)[0].label_names == ("a", "b", "c")
+
     def test_singular_covariance_raises(self):
         rng = np.random.default_rng(12)
         base = rng.standard_normal((50, 2))
         X = np.column_stack([base, base[:, 0] + base[:, 1]])  # exact collinearity
         with pytest.raises(CollinearityError):
             sphere(Dataset(X=X))
+
+
+_LABELLED = _random_labeled(np.random.default_rng(40))
+_UNLABELLED = Dataset(_LABELLED.X)
+_V = np.eye(4)[:, :2]
+_NEEDS_LABELS = "a labeled dataset is required"
+_WRONG_COLUMNS = "expected points with 4 coordinates"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: estimate_class_model(_UNLABELLED), _NEEDS_LABELS),
+    (lambda m: compute_scatter(_UNLABELLED, m), _NEEDS_LABELS),
+    (lambda m: objective.classification_log_likelihood(_UNLABELLED, _V, m),
+     _NEEDS_LABELS),
+    (lambda m: objective.ell1(_UNLABELLED, _V, m), _NEEDS_LABELS),
+    (lambda m: objective.grad_objective(_UNLABELLED, _V, m), _NEEDS_LABELS),
+    (lambda m: optimizer.maximize(_UNLABELLED, m, _V), _NEEDS_LABELS),
+    (lambda m: optimizer.order_columns(_UNLABELLED, _V, m), _NEEDS_LABELS),
+    (lambda m: classifier.rda_fit(_UNLABELLED, 0.5), _NEEDS_LABELS),
+    (lambda m: evaluation.grid_search(
+        "lda", [1], _UNLABELLED, evaluation.make_split(_UNLABELLED.n)),
+     _NEEDS_LABELS),
+    (lambda m: classifier.predict(classifier.fit_opgd(
+        _LABELLED, 1, optimizer.OptimConfig(max_iters=2)), np.ones((2, 3))),
+     _WRONG_COLUMNS),
+    (lambda m: classifier.lda_predict(classifier.lda_fit(_LABELLED, 1),
+                                      np.ones(5)), _WRONG_COLUMNS),
+    (lambda m: classifier.rda_predict(classifier.rda_fit(_LABELLED, 0.5),
+                                      np.ones((1, 2, 4))), _WRONG_COLUMNS),
+], ids=["estimate_class_model", "compute_scatter",
+        "classification_log_likelihood", "ell1", "grad_objective",
+        "maximize", "order_columns", "rda_fit", "grid_search", "predict",
+        "lda_predict", "rda_predict"])
+def test_library_checks_raise_a_data_error(call, message):
+    """Unlabeled data where labels are needed, and points with the wrong
+    number of coordinates, are data errors with one message each."""
+    with pytest.raises(DataError, match=message):
+        call(estimate_class_model(_LABELLED))

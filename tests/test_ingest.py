@@ -123,7 +123,7 @@ def test_matches_cell_by_cell_reference(text):
     assert ing.dataset.X.dtype == np.float64
     assert ing.dataset.X.flags.c_contiguous
     np.testing.assert_array_equal(ing.dataset.labels, labels)
-    assert ing.label_names == label_names
+    assert ing.dataset.label_names == label_names
     assert ing.feature_names == tuple(feature_names)
     np.testing.assert_array_equal(ing.groups, groups)
     assert ing.groups.dtype == groups.dtype
@@ -144,7 +144,7 @@ def test_blocks_ending_anywhere_match_the_reference(text, block_chars):
         ing = ingest_csv(path, label_column="y", group_column="g")
     np.testing.assert_array_equal(ing.dataset.X, X)
     np.testing.assert_array_equal(ing.dataset.labels, labels)
-    assert ing.label_names == label_names
+    assert ing.dataset.label_names == label_names
     np.testing.assert_array_equal(ing.groups, groups)
 
 
@@ -413,9 +413,9 @@ def test_dataset_adopts_the_ingested_matrix(tmp_path, monkeypatch):
     """The matrix ingest fills is the dataset's: no copy is made."""
     handed = []
 
-    def recording(X, labels=None):
+    def recording(X, labels=None, label_names=None):
         handed.append(X)
-        return Dataset(X, labels)
+        return Dataset(X, labels, label_names)
 
     monkeypatch.setattr(cli, "Dataset", recording)
     p = _write(tmp_path / "d.csv", "a,b,y\n1,2,1\n3,4,2\n5,6,1\n")
