@@ -13,7 +13,6 @@ fronts everything.
 __version__ = "0.1.0"
 
 from .core import (
-    CollinearityError,
     ConfigError,
     DataError,
     Dataset,

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# ``sphere`` is imported only for perfbench's tracer, which wraps it here.
 from .core import ConfigError, DataError, Dataset, ScatterMatrices, \
     check_projection, compute_scatter, estimate_class_model, frozen, \
-    sphere, symmetrize
+    sphere  # noqa: F401
 from .objective import ClampStats, bayes_posteriors, diag_log_densities, \
     full_gaussian_log_densities, projected_variances
-from .optimizer import OptimConfig, _normalize_columns, discriminant_directions, \
-    init_projection, maximize, order_columns
+from .optimizer import OptimConfig, _normalize_columns, init_projection, \
+    leading_directions, maximize, order_columns, save_matrix, whitened_frame
 
 
 def _two_classes(train: Dataset) -> Dataset:
@@ -104,8 +105,7 @@ def fit_opgd(train: Dataset, dim: int, config: OptimConfig | None = None,
         raise ConfigError(f"dim must lie in [1, {model.p}], got {dim}")
     clamp = ClampStats()
     if V0 is None:
-        scatter = compute_scatter(train, model)
-        V0 = init_projection(scatter, dim, config)
+        V0 = init_projection(model, dim, config)
     else:
         V0 = check_projection(V0, model.p)
         if V0.shape[1] != dim:
@@ -141,20 +141,23 @@ def predict(model: OpgdModel, X):
 # ---------------------------------------------------------------------------
 # Reduced-rank LDA
 
-def lda_features(scatter: ScatterMatrices, r: int, n_classes: int | None = None,
-                 ridge_frac: float = 1e-6):
-    """Leading-``r`` discriminant directions of (W^-1)B, unit columns.
+def lda_features(scatter: ScatterMatrices, r: int,
+                 n_classes: int | None = None):
+    """Leading-``r`` discriminant directions, unit columns: the top
+    eigenvectors of ``S'BS`` in the whitened frame ``S`` of the total
+    scatter (see :func:`~opgd.optimizer.whitened_frame`), which are
+    those of ``W^-1 B`` where ``W`` is definite.
 
-    The inverse is ridge-stabilized exactly as in the warm start. When
-    ``n_classes`` is given, ``r`` beyond ``n_classes - 1`` is rejected
-    (the between-class scatter has at most that rank). Near-zero leading
-    eigenvalue draws a non-informative warning.
+    When ``n_classes`` is given, ``r`` beyond ``n_classes - 1`` is
+    rejected (the between-class scatter has at most that rank). Near-zero
+    leading eigenvalue draws a non-informative warning.
     """
     if r < 1:
         raise ConfigError("r must be at least 1")
     if n_classes is not None and r > n_classes - 1:
         raise ConfigError(f"r must be at most K-1 = {n_classes - 1}, got {r}")
-    V, evals = discriminant_directions(scatter, r, ridge_frac)
+    S = whitened_frame(scatter)
+    V, evals = leading_directions(S, S.T @ scatter.between @ S, r)
     if evals[0] <= 1e-12:
         warnings.warn("between-class scatter is numerically zero; "
                       "discriminant features are non-informative")
@@ -174,16 +177,25 @@ class LdaModel:
         return self.projection.shape[0]
 
 
-def lda_fit(train: Dataset, r: int, ridge_frac: float = 1e-6) -> LdaModel:
+def lda_fit(train: Dataset, r: int) -> LdaModel:
     """Reduced-rank LDA: project onto ``r`` discriminant directions and
     classify with the shared pooled covariance there."""
     model = estimate_class_model(_two_classes(train))
-    scatter = compute_scatter(train, model)
-    V = lda_features(scatter, r, n_classes=model.K, ridge_frac=ridge_frac)
-    return LdaModel(projection=V,
-                    means=model.means @ V,
-                    covariance=symmetrize(V.T @ scatter.within @ V),
+    V = lda_features(compute_scatter(train, model), r, n_classes=model.K)
+    projected = _projected_class_model(train, V)
+    return LdaModel(projection=V, means=projected.means,
+                    covariance=projected.scatter.within,
                     priors=model.priors, label_names=train.label_names)
+
+
+def _projected_class_model(train: Dataset, V):
+    """The class model of the projected rows ``X V``. Its covariances
+    are Gram matrices of the projected differences, so a class without
+    spread along ``V`` gives an exact zero there, which the read-out's
+    ridge makes definite, never a negative rounding error of ``V'
+    Sigma_k V``."""
+    return estimate_class_model(Dataset(frozen(train.X @ V), train.labels,
+                                        train.label_names))
 
 
 def lda_predict(model: LdaModel, X):
@@ -198,30 +210,25 @@ def lda_predict(model: LdaModel, X):
 # SAVE
 
 def save_features(dataset: Dataset, r: int):
-    """Sliced average variance estimation directions.
+    """Sliced average variance estimation (SAVE) directions.
 
-    Sphere the data, form ``M = sum_k prior_k (I - Sigma_k)^2`` from the
-    sphered class covariances, take the top-``r`` eigenvectors, and map
-    them back through the sphering transform. Raises a collinearity
-    error when the total covariance is singular, and names a class with
-    too few rows by its label.
+    The top-``r`` eigenvectors of ``M = sum_k prior_k (I - S' Sigma_k
+    S)^2`` (:func:`~opgd.optimizer.save_matrix`), formed from the class
+    model in the whitened frame ``S`` of the total scatter (see
+    :func:`~opgd.optimizer.whitened_frame`) and mapped back through
+    ``S``; no sphered copy of the data is made. A duplicated or constant
+    column lowers the rank of the frame; ``r`` above that rank is a
+    ``DataError``. Names a class with too few rows by its label.
     """
     if not 1 <= r <= dataset.p:
         raise ConfigError(f"r must lie in [1, {dataset.p}], got {r}")
-    sphered, T = sphere(dataset)
-    model = estimate_class_model(sphered)
-    eye = np.eye(dataset.p)
-    M = np.zeros((dataset.p, dataset.p))
-    for k in range(model.K):
-        D = eye - model.covariances[k]
-        M += model.priors[k] * (D @ D)
-    M = symmetrize(M)
-    evals, evecs = np.linalg.eigh(M)
-    if evals[-1] <= 1e-12:
+    model = estimate_class_model(dataset)
+    S = whitened_frame(model.scatter)
+    V, evals = leading_directions(S, save_matrix(S, model), r)
+    if evals[0] <= 1e-12:
         warnings.warn("all sphered class covariances are the identity; "
                       "SAVE directions are non-informative")
-    U = evecs[:, ::-1][:, :r]
-    return _normalize_columns(T @ U)
+    return V
 
 
 @dataclass(frozen=True)
@@ -240,8 +247,7 @@ class SaveModel:
 def save_fit(train: Dataset, r: int) -> SaveModel:
     """SAVE features plus a quadratic Gaussian read-out in the subspace."""
     V = save_features(_two_classes(train), r)
-    proj = Dataset(frozen(train.X @ V), train.labels, train.label_names)
-    model = estimate_class_model(proj)
+    model = _projected_class_model(train, V)
     return SaveModel(projection=V, means=model.means,
                      covariances=model.covariances, priors=model.priors,
                      label_names=train.label_names)

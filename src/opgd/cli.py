@@ -594,14 +594,13 @@ def _ingest(args, group_column: str | None = None):
     """The ascent settings from the flags, :func:`ingest_csv` on
     ``--data`` with the ingest flags, and the ingest and ascent manifest
     params, for the commands that take those flags. The settings are
-    built first, whatever the method, so a bad ``--epsilon``/``--ridge``
-    is refused before any work and never reaches a manifest."""
-    opt = OptimConfig(max_iters=args.max_iters, epsilon_init=args.epsilon,
-                      ridge_frac=args.ridge, seed=args.seed)
+    built first, whatever the method, so a bad ``--epsilon`` is refused
+    before any work and never reaches a manifest."""
+    opt = OptimConfig(max_iters=args.max_iters, epsilon_init=args.epsilon)
     ing = ingest_csv(args.data, label_column=args.labels,
                      perturb_sd=args.perturb, drop_constant=args.drop_constant,
                      seed=args.seed, group_column=group_column)
-    params = dict(labels=args.labels, epsilon=args.epsilon, ridge=args.ridge,
+    params = dict(labels=args.labels, epsilon=args.epsilon,
                   max_iters=args.max_iters, perturb=args.perturb,
                   drop_constant=args.drop_constant,
                   dropped=",".join(ing.dropped_columns) or None)
@@ -614,7 +613,7 @@ def _fit_model(args, ing, opt: OptimConfig):
     if args.method == "opgd":
         return fit_opgd(ds, args.dim, opt)
     if args.method == "lda":
-        return lda_fit(ds, args.dim, opt.ridge_frac)
+        return lda_fit(ds, args.dim)
     if args.method == "save":
         return save_fit(ds, args.dim)
     return rda_fit(ds, args.alpha)
@@ -842,10 +841,8 @@ def _add_ingest(sp):
 
 
 def _add_opt(sp):
-    sp.add_argument("--epsilon", type=float, default=1e-3,
-                    help="warm-start perturbation weight")
-    sp.add_argument("--ridge", type=float, default=1e-6,
-                    help="within-scatter ridge fraction")
+    sp.add_argument("--epsilon", type=float, default=OptimConfig.epsilon_init,
+                    help="weight of the SAVE matrix in the warm start")
     sp.add_argument("--max-iters", type=int, default=500)
 
 

@@ -55,9 +55,9 @@ import numpy as np
 
 from .core import ConfigError, DataError, Dataset, GmmModel, \
     check_projection, estimate_class_model, scatter_from_responsibilities, \
-    symmetrize
-# ``log_densities`` is imported only for perfbench's tracer, which wraps it
-# here.
+    symmetrize  # noqa: F401
+# ``log_densities``, like ``scatter_from_responsibilities`` above, is
+# imported only for perfbench's tracer, which wraps it here.
 from .objective import _BLOCK_ENTRIES, LOG_2PI, GradientWorkspace, \
     _augment, _shifted_log_densities, bayes_posteriors, build_workspace, \
     cholesky_factors, classification_log_likelihood, component_logsumexp, \
@@ -513,12 +513,12 @@ def enhance_gmm(X, gmm: GmmModel, dim: int, config: ClusterConfig | None = None,
                 opt: OptimConfig | None = None):
     """Sharpen a fitted mixture by projecting, then re-estimating.
 
-    Pipeline: warm-start ``V`` from the responsibility-weighted scatter
-    of the initial mixture (orthonormalized), ascend the penalized
-    max-component objective, then run diagonal-covariance EM on ``X V``
-    initialized from the projected mixture parameters. Returns the
-    projection, the 1-based maximum-responsibility labels, and the
-    re-estimated projected mixture (diagonal covariances).
+    Pipeline: warm-start ``V`` from the initial mixture's components
+    (:func:`~opgd.optimizer.init_projection`, orthonormalized), ascend
+    the penalized max-component objective, then run diagonal-covariance
+    EM on ``X V`` initialized from the projected mixture parameters.
+    Returns the projection, the 1-based maximum-responsibility labels,
+    and the re-estimated projected mixture (diagonal covariances).
 
     The gradient reads the workspace of the value at its point (see
     :func:`~opgd.optimizer.reuse_workspace`).
@@ -531,10 +531,7 @@ def enhance_gmm(X, gmm: GmmModel, dim: int, config: ClusterConfig | None = None,
         raise ConfigError(f"dim must lie in [1, {gmm.p}], got {dim}")
     lam = float(config.lam) if config.lam is not None else float(n)
 
-    R = responsibilities(X, gmm)
-    scatter = scatter_from_responsibilities(X, R)
-    V0 = init_projection(scatter, dim, opt)
-    V0 = np.linalg.qr(V0)[0]
+    V0 = np.linalg.qr(init_projection(gmm, dim, opt))[0]
 
     value, grad = reuse_workspace(
         lambda M: build_workspace(X, M, gmm),

@@ -58,15 +58,6 @@ class NumericalError(OpgdError):
     exit_code = 4
 
 
-class CollinearityError(NumericalError):
-    """The data covariance is (numerically) singular.
-
-    Typically caused by collinear input columns; reducing the data with
-    :func:`opgd.clustering.pca_prefilter` removes the offending
-    directions.
-    """
-
-
 # The failures whose cause has a name: the package's own kinds and numpy's
 # LinAlgError, a numerical failure. Anything else is a bug.
 NAMED_FAILURES = (ConfigError, DataError, NumericalError,
@@ -99,6 +90,21 @@ def frozen(a):
     :class:`Dataset` adopts it without a copy."""
     a.setflags(write=False)
     return a
+
+
+def _integer_labels(labels):
+    """``labels`` as an int array; a label that is not an integer, NaN
+    and text included, is a ``DataError``, never truncated."""
+    y = np.asarray(labels)
+    if y.dtype.kind in "iu":
+        return y
+    try:
+        f = np.asarray(y, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError("labels must be integers") from None
+    if not np.all(np.isfinite(f) & (f == np.round(f))):
+        raise DataError("labels must be integers")
+    return f.astype(int)
 
 
 def symmetrize(S):
@@ -149,7 +155,7 @@ class Dataset:
             if self.label_names is not None:
                 raise DataError("label names were given without labels")
             return
-        y = np.asarray(self.labels, dtype=int)
+        y = _integer_labels(self.labels)
         if y.shape != (X.shape[0],):
             raise DataError(
                 f"labels must have shape ({X.shape[0]},), got {y.shape}"
@@ -230,6 +236,20 @@ class GmmModel:
     def floors(self):
         """:func:`variance_floors` of the covariances, computed once."""
         return _readonly(variance_floors(self.covariances))
+
+    @cached_property
+    def scatter(self):
+        """The mixture's :class:`ScatterMatrices`, weighted by its
+        weights: ``within = sum_k w_k Sigma_k``, ``between = sum_k w_k
+        (mu_k - mu)(mu_k - mu)'`` and ``total = within + between``, the
+        covariance of the mixture. Computed once."""
+        w = self.weights
+        grand_mean = w @ self.means
+        within = symmetrize(np.einsum("k,kij->ij", w, self.covariances))
+        D = self.means - grand_mean
+        between = symmetrize((D.T * w) @ D)
+        return ScatterMatrices(within=within, between=between,
+                               total=within + between, grand_mean=grand_mean)
 
 
 @dataclass(frozen=True)
@@ -331,19 +351,13 @@ def estimate_class_model(dataset: Dataset) -> GaussianClassModel:
 def compute_scatter(dataset: Dataset, model: GaussianClassModel) -> ScatterMatrices:
     """Pooled within/between/total scatter under the 1/n convention.
 
-    ``within = (1/n) sum_k n_k Sigma_k``, ``between = (1/n) sum_k n_k
-    (mu_k - mu)(mu_k - mu)'`` and ``total = within + between``, which
-    equals the covariance matrix of all of the data.
+    The class model's :attr:`~GmmModel.scatter`, whose weights are
+    ``n_k / n``: ``within = (1/n) sum_k n_k Sigma_k``, ``between =
+    (1/n) sum_k n_k (mu_k - mu)(mu_k - mu)'`` and ``total = within +
+    between``, which equals the covariance matrix of all of the data.
     """
     _require_labels(dataset)
-    n = dataset.n
-    w = model.counts / n
-    grand_mean = w @ model.means
-    within = symmetrize(np.einsum("k,kij->ij", w, model.covariances))
-    D = model.means - grand_mean
-    between = symmetrize((D.T * w) @ D)
-    return ScatterMatrices(within=within, between=between,
-                           total=within + between, grand_mean=grand_mean)
+    return model.scatter
 
 
 def scatter_from_responsibilities(X, resp) -> ScatterMatrices:
@@ -393,8 +407,27 @@ def check_projection(V, p: int):
     return V
 
 
-# Relative eigenvalue floor below which a covariance is declared singular.
+# Relative eigenvalue floor: a covariance's eigen-directions at or below
+# this fraction of trace/p are outside its numerical rank.
 EIGEN_FLOOR_FRAC = 1e-10
+
+
+def whitening(total):
+    """The whitened frame of a covariance: the ``p x r`` transform ``S``
+    with ``S' total S = I_r``.
+
+    From one ``eigh`` of ``total``: its eigen-directions whose eigenvalue
+    is above ``EIGEN_FLOOR_FRAC * trace/p``, each divided by the square
+    root of its eigenvalue, so ``r`` is the numerical rank and a
+    duplicated or constant column costs one direction, not a failure.
+    For any invertible ``A``, the frame of ``A' total A`` is ``A^{-1} S``
+    up to a rotation of its columns, so a direction found there and
+    mapped back as ``S u`` does not depend on the units or the basis of
+    the columns.
+    """
+    w, Q = np.linalg.eigh(symmetrize(total))
+    keep = w > EIGEN_FLOOR_FRAC * np.trace(total) / total.shape[0]
+    return Q[:, keep] / np.sqrt(w[keep])
 
 
 def sphere(dataset: Dataset):
@@ -403,28 +436,13 @@ def sphere(dataset: Dataset):
     Returns
     -------
     (Dataset, ndarray)
-        The sphered dataset (labels and their names carried over) and
-        the ``p x p`` transform ``T`` with ``sphered = (X - mean(X)) @
-        T``. Feature directions found in the sphered space map back to
-        input coordinates as ``T @ u``.
-
-    Raises
-    ------
-    CollinearityError
-        If the total covariance has an eigenvalue at or below
-        ``1e-10 * trace/p``.
+        The sphered ``n x r`` dataset (labels and their names carried
+        over) and the ``p x r`` :func:`whitening` ``S`` of the total
+        covariance, with ``sphered = (X - mean(X)) @ S``. Feature
+        directions found in the sphered space map back to input
+        coordinates as ``S @ u``.
     """
     X = dataset.X
-    mu = X.mean(axis=0)
-    D = X - mu
-    total = symmetrize(D.T @ D / X.shape[0])
-    w, Q = np.linalg.eigh(total)
-    floor = EIGEN_FLOOR_FRAC * np.trace(total) / X.shape[1]
-    if np.any(w <= floor):
-        raise CollinearityError(
-            "total covariance is numerically singular "
-            f"(min eigenvalue {w.min():.3e}); remove constant or collinear "
-            "columns (--drop-constant removes the constant ones)"
-        )
-    T = symmetrize(Q @ ((1.0 / np.sqrt(w)) * Q).T)
-    return Dataset(frozen(D @ T), dataset.labels, dataset.label_names), T
+    D = X - X.mean(axis=0)
+    S = whitening(D.T @ D / X.shape[0])
+    return Dataset(frozen(D @ S), dataset.labels, dataset.label_names), S

@@ -182,8 +182,7 @@ def _fit_method(method: str, train: Dataset, hyper,
     if method == "opgd":
         return fit_opgd(train, hyper, opt_config, V0=V0)
     if method == "lda":
-        config = opt_config if opt_config is not None else OptimConfig()
-        return lda_fit(train, hyper, config.ridge_frac)
+        return lda_fit(train, hyper)
     if method == "rda":
         return rda_fit(train, hyper)
     if method == "save":

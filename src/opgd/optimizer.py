@@ -10,18 +10,29 @@ iterates form an increasing objective trace. Without stored steps, or
 when the direction is not an ascent direction or its line search fails,
 the step is a plain gradient step. The same routine drives both the
 supervised likelihood and the clustering objective.
+
+Every direction of a supervised fit is solved in one frame, the
+whitening ``S`` of the total covariance ``Sigma`` (``S' Sigma S = I``,
+see :func:`whitened_frame`). The warm start, LDA and SAVE each take the
+top eigenvectors of one symmetric matrix of that frame
+(:func:`leading_directions`), and the supervised ascent moves ``U`` with
+``V = S U``. The objective satisfies ``L(X A; V) = L(X; A V)`` for any
+invertible ``A``; in this frame the directions and the ascent's steps
+do too, so neither depends on the units or the basis of the columns.
+The enhancement ascent stays in input coordinates, because its
+orthonormality penalty is not unit-free.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Dataset, GaussianClassModel, NumericalError, \
-    ScatterMatrices, _require_labels, check_projection, symmetrize
+from .core import EIGEN_FLOOR_FRAC, ConfigError, DataError, Dataset, \
+    GaussianClassModel, GmmModel, NumericalError, ScatterMatrices, \
+    _require_labels, check_projection, symmetrize, whitening
 # Nothing here calls ``classification_log_likelihood`` any more; it stays
 # importable from this module because perfbench's tracer wraps it here.
 from .objective import ClampStats, build_workspace, \
@@ -44,24 +55,22 @@ ARMIJO_C = 1e-4
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Settings for initialization and the ascent.
+    """Settings for the warm start and the ascent.
 
     ``grad_tol`` applies to the max-abs gradient entry divided by the
-    number of observations; ``epsilon_init`` and ``ridge_frac`` control
-    the warm-start eigenproblem; ``seed`` only feeds the randomized
-    last-resort initialization fallback. Every float must be finite.
+    number of observations; ``epsilon_init`` weighs the SAVE matrix
+    against the between-class scatter in the warm start (see
+    :func:`init_projection`). Every float must be finite and positive.
     """
 
     max_iters: int = 500
     grad_tol: float = 1e-6
-    epsilon_init: float = 1e-3
-    ridge_frac: float = 1e-6
-    seed: int = 0
+    epsilon_init: float = 0.1
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ConfigError("max_iters must be non-negative")
-        for name in ("grad_tol", "epsilon_init", "ridge_frac"):
+        for name in ("grad_tol", "epsilon_init"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, "
@@ -73,125 +82,64 @@ def _normalize_columns(V):
     return V / np.where(norms > 0, norms, 1.0)
 
 
-def _real_basis_from_eig(evals, evecs, dim):
-    """Leading-`dim` real basis from a general eigen-decomposition.
+def whitened_frame(scatter: ScatterMatrices):
+    """The :func:`~opgd.core.whitening` ``S`` of the total scatter, the
+    frame every direction of a supervised fit is solved in.
 
-    Eigenvalues are ranked by real part. A complex conjugate pair
-    contributes the real and imaginary parts of one member, a real basis
-    of its 2-d invariant subspace (the real Schur basis up to an
-    invertible 2x2 change of coordinates).
+    A within scatter that is numerically zero, at or below
+    ``EIGEN_FLOOR_FRAC`` of the total in trace, is a ``NumericalError``:
+    every class or cluster is one repeated row (a fitted mixture's
+    components keep only their covariance floor), the groups separate
+    with no spread, and no discriminant is defined.
     """
-    order = np.argsort(-evals.real, kind="stable")
-    used = np.zeros(evals.shape[0], dtype=bool)
-    cols = []
-    for idx in order:
-        if used[idx] or len(cols) >= dim:
-            continue
-        used[idx] = True
-        lam = evals[idx]
-        u = evecs[:, idx]
-        if lam.imag == 0.0:
-            cols.append(u.real)
-            continue
-        # consume the conjugate partner along with this one
-        partners = np.nonzero(~used & np.isclose(evals, lam.conjugate()))[0]
-        if partners.size:
-            used[partners[0]] = True
-        cols.append(u.real)
-        if len(cols) < dim:
-            cols.append(u.imag)
-    V = np.column_stack(cols[:dim])
-    if not np.all(np.isfinite(V)):
-        raise np.linalg.LinAlgError("non-finite eigenvectors")
-    sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
-        raise np.linalg.LinAlgError("selected eigenvectors nearly dependent")
-    return V
-
-
-def discriminant_directions(scatter: ScatterMatrices, r: int,
-                            ridge_frac: float = 1e-6):
-    """Leading-``r`` eigenvectors of the ridge-stabilized (W^-1)B.
-
-    Solved as the generalized symmetric-definite problem
-    ``B u = lambda (W + ridge I) u`` by Cholesky whitening: with
-    ``W + ridge I = L L'``, the eigenvectors are ``L^{-T} w`` for those
-    ``w`` of the symmetric ``L^{-1} B L^{-T}``, so eigenvalues are real
-    and non-negative up to round-off. Columns have unit norm, ordered by
-    decreasing eigenvalue; also returns the eigenvalues for rank
-    inspection. A zero within scatter, where every class or cluster is
-    one repeated row, is a ``NumericalError``: the ridge scales with
-    its trace, so nothing would make ``W + ridge I`` definite.
-    """
-    p = scatter.within.shape[0]
-    ridge = ridge_frac * np.trace(scatter.within) / p
-    if not ridge > 0:
+    if not np.trace(scatter.within) > \
+            EIGEN_FLOOR_FRAC * np.trace(scatter.total):
         raise NumericalError("no class or cluster has within-group spread: "
                              "the rows of each are identical")
-    W = symmetrize(scatter.within) + ridge * np.eye(p)
-    L_inv = np.linalg.inv(np.linalg.cholesky(W))
-    evals, evecs = np.linalg.eigh(
-        symmetrize(L_inv @ symmetrize(scatter.between) @ L_inv.T))
-    order = np.argsort(-evals, kind="stable")[:r]
-    return _normalize_columns(L_inv.T @ evecs[:, order]), evals[order]
+    return whitening(scatter.total)
 
 
-def _fallback_projection(scatter: ScatterMatrices, dim: int,
-                         config: OptimConfig):
-    """Discriminant directions, then null-space principal components."""
-    p = scatter.within.shape[0]
-    V, evals = discriminant_directions(scatter, dim, config.ridge_frac)
-    informative = int(np.sum(evals > max(evals[0], 0.0) * 1e-9 + 1e-300))
-    cols = [V[:, j] for j in range(min(informative, dim))]
-    rng = np.random.default_rng(config.seed)
-    while len(cols) < dim:
-        if cols:
-            Q = np.linalg.qr(np.column_stack(cols))[0]
-            P = np.eye(p) - Q @ Q.T
-        else:
-            P = np.eye(p)
-        resid = symmetrize(P @ scatter.total @ P)
-        w, U = np.linalg.eigh(resid)
-        if w[-1] > 1e-12 * max(np.trace(scatter.total), 1.0):
-            cols.append(U[:, -1])
-        else:
-            # fully degenerate scatter: seeded random direction, a new
-            # draw for each column
-            v = rng.standard_normal(p)
-            if cols:
-                v -= Q @ (Q.T @ v)
-            cols.append(v / np.linalg.norm(v))
-    return _normalize_columns(np.column_stack(cols))
+def leading_directions(S, M, r: int):
+    """The top-``r`` eigenvectors of the symmetric matrix ``M`` of the
+    whitened frame ``S``, mapped back as ``S u`` and scaled to unit
+    columns, in decreasing order of their eigenvalues, which are also
+    returned. ``r`` above the rank of the frame is a ``DataError``."""
+    rank = S.shape[1]
+    if r > rank:
+        raise DataError(f"dim {r} exceeds {rank}, the rank of the total "
+                        "covariance")
+    evals, evecs = np.linalg.eigh(symmetrize(M))
+    return _normalize_columns(S @ evecs[:, ::-1][:, :r]), evals[::-1][:r]
 
 
-def init_projection(scatter: ScatterMatrices, dim: int,
+def save_matrix(S, model: GmmModel):
+    """SAVE's ``sum_k w_k (I - S' Sigma_k S)^2`` in the whitened frame
+    ``S`` of the model's total covariance (Cook & Weisberg 1991): large
+    along the directions where some component's spread differs from the
+    whole."""
+    D = np.eye(S.shape[1]) - S.T @ model.covariances @ S
+    return symmetrize(np.einsum("k,kij->ij", model.weights, D @ D))
+
+
+def init_projection(model: GmmModel, dim: int,
                     config: OptimConfig | None = None):
-    """Warm-start projection: leading eigenvectors of (W^-1)B + eps Sigma.
+    """Warm-start projection: the leading eigenvectors of ``S'BS + eps
+    M`` in the whitened frame ``S`` of the model's total covariance.
 
-    The matrix is the ridge-stabilized ``(W + ridge I)^{-1} B`` plus
-    ``epsilon_init`` times the total covariance; for small epsilon its
-    leading eigenvectors approach the discriminant features, while the
-    perturbation keeps directions beyond rank(B) meaningful. Columns are
-    normalized to unit norm. If the eigen-solve fails, falls back to
-    discriminant directions padded with principal components of the
-    total covariance restricted to their orthogonal complement, with a
-    warning.
+    ``B`` is the model's between-group scatter, so ``S'BS`` gives the
+    discriminant (LDA) directions, and ``M`` is :func:`save_matrix`,
+    which ranks the directions beyond the rank ``K - 1`` of ``B`` by how
+    much the components' spreads differ there; ``eps`` is
+    ``epsilon_init``. ``model`` is the class model of a supervised fit
+    or a fitted mixture. Columns have unit norm.
     """
     config = config if config is not None else OptimConfig()
-    p = scatter.within.shape[0]
-    if not 1 <= dim <= p:
-        raise ConfigError(f"dim must lie in [1, {p}], got {dim}")
-    ridge = config.ridge_frac * np.trace(scatter.within) / p
-    try:
-        A = np.linalg.solve(scatter.within + ridge * np.eye(p), scatter.between)
-        A = A + config.epsilon_init * scatter.total
-        evals, evecs = np.linalg.eig(A)
-        V = _real_basis_from_eig(evals, evecs, dim)
-    except np.linalg.LinAlgError as exc:
-        warnings.warn(f"warm-start eigen-solve failed ({exc}); using "
-                      "discriminant/principal-component fallback")
-        V = _fallback_projection(scatter, dim, config)
-    return _normalize_columns(V)
+    if not 1 <= dim <= model.p:
+        raise ConfigError(f"dim must lie in [1, {model.p}], got {dim}")
+    S = whitened_frame(model.scatter)
+    M = S.T @ model.scatter.between @ S \
+        + config.epsilon_init * save_matrix(S, model)
+    return leading_directions(S, M, dim)[0]
 
 
 def _two_loop(G, pairs):
@@ -331,23 +279,34 @@ def maximize(dataset: Dataset, model: GaussianClassModel, V0,
              clamp: ClampStats | None = None):
     """Maximize the classification log-likelihood over projections.
 
-    ``V0`` is checked once; the ascent's iterates are not checked again.
-    The gradient reads the workspace of the value at its point (see
-    :func:`reuse_workspace`), so an accepted point's clamps are counted
-    once.
+    The ascent runs in the :func:`whitened_frame` ``S`` of the class
+    model: it moves ``U``, with ``V = S U``, on the value ``f(S U)`` and
+    the gradient ``S' grad f(S U)``, from ``U0 = S' Sigma V0`` with its
+    columns scaled to unit length, which changes no value. So its steps
+    do not depend on the units or the basis of the columns, up to the
+    max-abs gradient entry of the stop test. No copy of the data is
+    made. ``V0`` is checked once; the ascent's
+    iterates are not checked again. The gradient reads the workspace of
+    the value at its point (see :func:`reuse_workspace`), so an accepted
+    point's clamps are counted once.
 
-    Returns ``(V, trace)``; see :func:`ascend` for the trace contract.
+    Returns ``(S U, trace)``, or ``(V0, trace)`` when the ascent
+    accepted no step; see :func:`ascend` for the trace contract.
     """
     _require_labels(dataset)
     config = config if config is not None else OptimConfig()
     V0 = check_projection(V0, model.p)
+    S = whitened_frame(model.scatter)
     value, grad = reuse_workspace(
-        lambda V: build_workspace(dataset.X, V, model, dataset.label_index,
-                                  clamp),
-        lambda V, ws: ws.log_likelihood,
-        lambda V, ws: grad_ell1(dataset, V, model, ws)
-        - grad_ell2(dataset, V, model, ws))
-    return ascend(value, grad, V0, config, scale=float(dataset.n))
+        lambda U: build_workspace(dataset.X, S @ U, model,
+                                  dataset.label_index, clamp),
+        lambda U, ws: ws.log_likelihood,
+        lambda U, ws: S.T @ (grad_ell1(dataset, S @ U, model, ws)
+                             - grad_ell2(dataset, S @ U, model, ws)))
+    U, trace = ascend(value, grad,
+                      _normalize_columns(S.T @ model.scatter.total @ V0),
+                      config, scale=float(dataset.n))
+    return (V0.copy() if len(trace) == 1 else S @ U), trace
 
 
 def order_columns(dataset: Dataset, V, model: GaussianClassModel):

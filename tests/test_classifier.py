@@ -205,6 +205,20 @@ class TestLda:
         with pytest.warns(UserWarning, match="non-informative"):
             lda_features(sc, 1, n_classes=2)
 
+    def test_class_without_spread_along_the_direction(self):
+        """Class 2 is one repeated row and class 1 spreads at a scale of
+        1e8, so the pooled variance along the direction that separates
+        them is tiny next to the scatter: it is taken from the projected
+        rows, never as ``v' W v``, whose rounding error is negative
+        here."""
+        X = np.array([[-1e8, 0.0, 0.0], [0.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.5e8], [0.0, 0.0, 0.0]])
+        ds = Dataset(X, [1, 2, 1, 2])
+        model = lda_fit(ds, 1)
+        assert model.covariance[0, 0] >= 0.0
+        labels, post = lda_predict(model, X)
+        assert np.all(np.isfinite(post))
+
     def test_predictions_match_pooled_gaussian_oracle(self):
         """Full-rank LDA agrees with a pooled-covariance Gaussian rule."""
         ds = _blobs(13)
@@ -301,3 +315,72 @@ class TestRda:
         g = default_grid("rda", 10, 3)
         assert g[0] == 0.0 and g[-1] == 1.0 and len(g) == 10
         assert default_grid("rda", 1, 2) == [0.0, 1.0]
+
+
+def _three_classes(seed=40, n_per=100):
+    """Three classes in four columns: apart in location along the first,
+    in spread along the third and fourth."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat([1, 2, 3], n_per)
+    X = rng.standard_normal((3 * n_per, 4))
+    X[:, 0] += 1.5 * (y - 2)
+    X[y == 2, 2] *= 2.5
+    X[y == 3, 3] *= 0.4
+    return Dataset(X, y)
+
+
+def _transform(kind, p, seed=41):
+    """A diagonal ``A`` whose entries span 10^4, a general ``A`` with
+    condition number 10, or a permutation of the columns."""
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        return np.diag(rng.permutation(np.logspace(-2, 2, p)))
+    if kind == "general":
+        Q1 = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        Q2 = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        return Q1 @ np.diag(np.logspace(0, 1, p)) @ Q2
+    return np.eye(p)[:, rng.permutation(p)]
+
+
+_FITS = {"opgd": (lambda ds: fit_opgd(ds, 2), predict),
+         "lda": (lambda ds: lda_fit(ds, 2), lda_predict),
+         "save": (lambda ds: save_fit(ds, 2), save_predict)}
+
+
+class TestUnitsAndBasis:
+    """For any invertible ``A``, ``L(X A; V) = L(X; A V)``: a fit on the
+    columns ``X A`` must reach the same model, up to that change of
+    coordinates, as a fit on ``X``."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "general", "columns"])
+    @pytest.mark.parametrize("method", ["opgd", "lda", "save"])
+    def test_same_labels_on_transformed_columns(self, method, kind):
+        ds = _three_classes()
+        A = _transform(kind, ds.p)
+        fit, predictor = _FITS[method]
+        labels = predictor(fit(ds), ds.X)[0]
+        moved = predictor(fit(Dataset(ds.X @ A, ds.labels)), ds.X @ A)[0]
+        np.testing.assert_array_equal(moved, labels)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "general", "columns"])
+    def test_same_log_likelihood_on_transformed_columns(self, kind):
+        ds = _three_classes()
+        A = _transform(kind, ds.p)
+        plain = fit_opgd(ds, 2).diagnostics
+        moved = fit_opgd(Dataset(ds.X @ A, ds.labels), 2).diagnostics
+        assert plain.iterations < OptimConfig().max_iters  # converged
+        assert moved.final_objective == pytest.approx(plain.final_objective,
+                                                      rel=1e-6)
+
+    @pytest.mark.parametrize("method", ["opgd", "lda", "save"])
+    def test_same_labels_on_permuted_rows(self, method):
+        ds = _three_classes()
+        order = np.random.default_rng(42).permutation(ds.n)
+        fit, predictor = _FITS[method]
+        model = fit(ds)
+        permuted = fit(Dataset(ds.X[order], ds.labels[order]))
+        np.testing.assert_array_equal(predictor(permuted, ds.X)[0],
+                                      predictor(model, ds.X)[0])
+        if method == "opgd":
+            assert permuted.diagnostics.final_objective == pytest.approx(
+                model.diagnostics.final_objective, rel=1e-6)

@@ -569,33 +569,44 @@ class TestCommands:
     def test_zero_within_scatter_is_numerical_error(self, tmp_path, capsys,
                                                     dim):
         """When every class's rows are identical the within scatter is
-        zero: the warm start falls back, the fallback's discriminant
-        directions cannot factor it, and ``fit`` exits 4 with one error
-        line after the fallback's warning."""
+        zero, so the warm start has no discriminant to solve for, and
+        ``fit`` exits 4 with one error line that names the cause, before
+        any check of ``--dim`` against the rank of the table."""
         data = _write(tmp_path / "d.csv",
                       "a,b,y\n0,0,1\n0,0,1\n0,0,1\n1,2,2\n1,2,2\n1,2,2\n")
         out = tmp_path / "m.opgd"
-        with pytest.warns(UserWarning, match="warm-start eigen-solve failed"):
-            rc = main(["fit", "--data", data, "--labels", "y", "--dim", dim,
-                       "--out", str(out)])
+        rc = main(["fit", "--data", data, "--labels", "y", "--dim", dim,
+                   "--out", str(out)])
         assert rc == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == ("error: no class or cluster has within-group spread: "
+                       "the rows of each are identical\n")
         assert "Traceback" not in err and not out.exists()
 
-    def test_collinear_save_hint_names_a_remedy_fit_offers(self, tmp_path,
-                                                            capsys):
-        """SAVE spheres the data, so a column twice another is a
-        singular total covariance. ``fit`` has no PCA pre-filter to
-        suggest."""
-        rows = "".join(f"{i},{2 * i},{1 + i % 2}\n" for i in range(8))
-        data = _write(tmp_path / "d.csv", "a,b,y\n" + rows)
-        rc = main(["fit", "--data", data, "--labels", "y", "--method",
-                   "save", "--dim", "1", "--out", str(tmp_path / "m")])
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert "numerically singular" in err and "--drop-constant" in err
-        assert "PCA" not in err
+    @pytest.mark.parametrize("method", ["opgd", "lda", "save"])
+    def test_duplicated_column_changes_no_prediction(self, tmp_path, capsys,
+                                                     method):
+        """Every direction is solved in the whitened frame of the total
+        covariance, which a copy of a column leaves one dimension short:
+        the fit succeeds and predicts the labels it predicts without the
+        copy."""
+        ds = _labeled_dataset(30, n=90, p=3)
+        labels = []
+        for name, X in (("plain", ds.X),
+                        ("copy", np.column_stack([ds.X, ds.X[:, 1]]))):
+            header = ",".join(f"x{j}" for j in range(X.shape[1])) + ",y"
+            data = _write(tmp_path / f"{name}.csv",
+                          _table(header, X, ds.labels))
+            model = str(tmp_path / f"{name}.{method}")
+            assert main(["fit", "--data", data, "--labels", "y", "--method",
+                         method, "--dim", "2", "--out", model]) == 0
+            pred = str(tmp_path / f"{name}.tsv")
+            assert main(["predict", "--data", data, "--labels", "y",
+                         "--model", model, "--out", pred]) == 0
+            labels.append([line.split("\t")[0] for line in
+                           open(pred).read().splitlines()[2:]])
+        assert capsys.readouterr().err == ""
+        assert labels[0] == labels[1]
 
     def test_exit_code_data_error(self, tmp_path, capsys):
         p = _write(tmp_path / "bad.csv", "a,y\n1,1\nzzz,2\n")
@@ -631,24 +642,18 @@ class TestCommands:
         ["evaluate", "--method", ","],
         ["cluster", "--clusters", "3", "--lambda", "nan"],
         ["cluster", "--clusters", "3", "--lambda", "inf"],
-        ["fit", "--method", "opgd", "--ridge", "nan"],
         ["fit", "--method", "opgd", "--epsilon", "nan"],
         ["fit", "--method", "opgd", "--epsilon", "inf"],
         ["cluster", "--clusters", "3", "--epsilon", "nan"],
         ["fit", "--method", "lda", "--epsilon", "nan"],
-        ["fit", "--method", "rda", "--ridge", "inf"],
-        ["fit", "--method", "save", "--ridge", "-1"],
         ["features", "--method", "lda", "--epsilon", "0"],
-        ["features", "--method", "save", "--ridge", "nan"],
         ["evaluate", "--method", "lda", "--epsilon", "nan"],
-        ["evaluate", "--method", "rda,save", "--ridge=-inf"],
     ], ids=["grid_word", "grid_inf", "split_words", "split_nan",
             "zero_clusters", "perturb_nan", "perturb_inf", "method_empty",
-            "method_comma", "lambda_nan", "lambda_inf", "ridge_nan",
+            "method_comma", "lambda_nan", "lambda_inf",
             "epsilon_nan", "epsilon_inf", "cluster_epsilon_nan",
-            "lda_epsilon_nan", "rda_ridge_inf", "save_ridge_negative",
-            "features_lda_epsilon_zero", "features_save_ridge_nan",
-            "evaluate_lda_epsilon_nan", "evaluate_rda_save_ridge_ninf"])
+            "lda_epsilon_nan", "features_lda_epsilon_zero",
+            "evaluate_lda_epsilon_nan"])
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, command):
         data = _blob_csv(tmp_path / "d.csv", seed=4)
         rc = main([command[0], "--data", data, "--labels", "y",
@@ -1008,10 +1013,14 @@ def _table(header, X, y):
 
 _rng = np.random.default_rng(20)
 _a = _rng.standard_normal((60, 2))
-# column b is 2a, so SAVE's sphering fails at every grid point
+# column b is 2a, so the class covariances are singular
 _COLLINEAR = _table("a,b,c,y", np.column_stack([_a[:, 0], 2 * _a[:, 0],
                                                 _a[:, 1]]),
                     np.repeat([1, 2, 3], 20))
+# each class is one point repeated, so no class has spread
+_NO_SPREAD = _table("a,b,c,y", np.repeat(
+    [[0.0, 0.0, 1.0], [4.0, 0.0, 2.0], [0.0, 4.0, 0.0]], 20, axis=0),
+    np.repeat([1, 2, 3], 20))
 _ONE_CLASS = _table("a,b,c,y", _rng.standard_normal((20, 3)), np.ones(20))
 # class 3 is all of group 3, so the training rows of its fold lack it
 _GROUPED = _table("a,b,g,y", np.column_stack(
@@ -1038,7 +1047,7 @@ def _failure_files(tmp_path):
     model = serialize_model(lda_fit(_labeled_dataset(21, p=2), 1), "0" * 16)
     lines = model.splitlines()
     texts = {
-        "collinear": _COLLINEAR, "one_class": _ONE_CLASS,
+        "no_spread": _NO_SPREAD, "one_class": _ONE_CLASS,
         "constant": _CONSTANT, "grouped": _GROUPED,
         "pair_class": _PAIR_CLASS, "constant_labelled": _CONSTANT_LABELLED,
         "two_class": _TWO_CLASS, "model": model,
@@ -1058,9 +1067,9 @@ def _failure_files(tmp_path):
 
 
 @pytest.mark.parametrize("data, argv, rc, line", [
-    ("collinear", ["evaluate", "--labels", "y", "--method", "rda,lda,save"],
-     4, "error: every grid point failed: total covariance is numerically "
-        "singular"),
+    ("no_spread", ["evaluate", "--labels", "y", "--method", "rda,lda,save"],
+     4, "error: every grid point failed: no class or cluster has "
+        "within-group spread"),
     ("one_class", ["fit", "--labels", "y", "--method", "opgd"], 3,
      _ONE_CLASS_ERROR),
     ("one_class", ["fit", "--labels", "y", "--method", "rda"], 3,
@@ -1111,7 +1120,7 @@ def _failure_files(tmp_path):
     ("blobs", ["evaluate", "--labels", "y", "--method", "lda", "--grid",
                "1,5"], 0,
      "warning: lda grid point 5 failed: r must be at most K-1 = 2, got 5"),
-], ids=["collinear-evaluate-save", "one-class-fit-opgd", "one-class-fit-rda",
+], ids=["no-spread-evaluate-lda", "one-class-fit-opgd", "one-class-fit-rda",
         "one-class-fit-save", "one-class-fit-lda", "one-class-features",
         "one-class-evaluate", "constant-cluster", "constant-cluster-pca",
         "constant-cluster-init-gmm", "fold-without-class-evaluate",
@@ -1198,27 +1207,6 @@ def test_errors_name_a_class_by_its_label(tmp_path, capsys, table, argv,
     assert main([argv[0], "--data", data, "--labels", "y", *argv[1:],
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.splitlines()[-1].startswith(error)
-
-
-def test_lda_fits_with_the_ridge_of_the_run(tmp_path):
-    """``--ridge`` reaches the LDA fit: on anisotropic classes the model
-    body moves with it."""
-    rng = np.random.default_rng(21)
-    X = rng.standard_normal((40, 2)) * [3.0, 0.3] + \
-        np.repeat([[0.0, 0.0], [1.0, 1.0]], 20, axis=0)
-    data = _write(tmp_path / "d.csv", _table("a,b,y", X, np.repeat([1, 2],
-                                                                    20)))
-    bodies = []
-    for ridge in ("1e-6", "0.5"):
-        out = tmp_path / f"m{ridge}.lda"
-        assert main(["fit", "--data", data, "--labels", "y", "--method",
-                     "lda", "--dim", "1", "--ridge", ridge,
-                     "--out", str(out)]) == 0
-        bodies.append(out.read_text(encoding="utf-8").split("\n", 3)[3])
-    assert bodies[0] != bodies[1]
-    model, _ = parse_model(out.read_text(encoding="utf-8"))
-    want = lda_fit(ingest_csv(data, label_column="y").dataset, 1, 0.5)
-    np.testing.assert_array_equal(model.projection, want.projection)
 
 
 @st.composite

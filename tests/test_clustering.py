@@ -671,12 +671,9 @@ class TestEnhanceGmm:
         lam = float(X.shape[0])
         V, _, _ = enhance_gmm(X, gmm, 2, cc, OptimConfig(max_iters=100))
         # compare against the orthonormalized warm start it was given
-        from opgd.core import scatter_from_responsibilities
         from opgd.optimizer import init_projection
 
-        R = responsibilities(X, gmm)
-        V0 = np.linalg.qr(init_projection(
-            scatter_from_responsibilities(X, R), 2, OptimConfig()))[0]
+        V0 = np.linalg.qr(init_projection(gmm, 2, OptimConfig()))[0]
         assert cluster_objective(X, V, gmm, lam) >= \
             cluster_objective(X, V0, gmm, lam) - 1e-9
 

@@ -5,7 +5,6 @@ import pytest
 
 from opgd import classifier, evaluation, objective, optimizer
 from opgd.core import (
-    CollinearityError,
     ConfigError,
     DataError,
     Dataset,
@@ -19,6 +18,7 @@ from opgd.core import (
     scatter_from_responsibilities,
     sphere,
     symmetrize,
+    whitening,
 )
 
 
@@ -66,6 +66,18 @@ class TestDataset:
         with pytest.raises(DataError, match="never occur") as err:
             Dataset(np.zeros((2, 1)), [1, 10**6])
         assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("labels", [[1.5, 2.9, 1.0], [1, 2, np.nan],
+                                        [1, 2, np.inf], ["a", "b", "a"]],
+                             ids=["fractional", "nan", "inf", "text"])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        """A label that is not an integer is refused, never truncated
+        to one."""
+        with pytest.raises(DataError, match="labels must be integers"):
+            Dataset(np.eye(3), labels)
+
+    def test_integral_float_labels_are_kept(self):
+        assert Dataset(np.eye(3), [1.0, 2.0, 1.0]).labels.tolist() == [1, 2, 1]
 
     def test_names_its_classes(self):
         """Names default to ``"1".."K"``, are kept as strings and set K;
@@ -271,12 +283,30 @@ class TestSphere:
         named = Dataset(ds.X, ds.labels, ("a", "b", "c"))
         assert sphere(named)[0].label_names == ("a", "b", "c")
 
-    def test_singular_covariance_raises(self):
+    def test_collinear_column_lowers_the_rank(self):
+        """A column that is the sum of two others costs one direction of
+        the sphered data instead of failing."""
         rng = np.random.default_rng(12)
         base = rng.standard_normal((50, 2))
         X = np.column_stack([base, base[:, 0] + base[:, 1]])  # exact collinearity
-        with pytest.raises(CollinearityError):
-            sphere(Dataset(X=X))
+        sph, S = sphere(Dataset(X=X))
+        assert S.shape == (3, 2) and sph.X.shape == (50, 2)
+        np.testing.assert_allclose(sph.X.T @ sph.X / 50, np.eye(2),
+                                   atol=1e-10)
+
+
+class TestWhitening:
+    def test_constant_column_costs_one_direction(self):
+        rng = np.random.default_rng(14)
+        X = np.column_stack([rng.standard_normal((40, 3)), np.full(40, 2.0)])
+        D = X - X.mean(axis=0)
+        total = D.T @ D / 40
+        S = whitening(total)
+        assert S.shape == (4, 3)
+        np.testing.assert_allclose(S.T @ total @ S, np.eye(3), atol=1e-10)
+
+    def test_zero_covariance_has_rank_zero(self):
+        assert whitening(np.zeros((3, 3))).shape == (3, 0)
 
 
 _LABELLED = _random_labeled(np.random.default_rng(40))

@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from opgd import objective, optimizer
-from opgd.core import ConfigError, Dataset, compute_scatter, estimate_class_model
+from opgd.core import ConfigError, DataError, Dataset, NumericalError, \
+    estimate_class_model
 from opgd.objective import classification_log_likelihood, grad_objective
 from opgd.optimizer import (
     MIN_STEP,
     OptimConfig,
-    _fallback_projection,
-    _real_basis_from_eig,
     ascend,
-    discriminant_directions,
     init_projection,
+    leading_directions,
     maximize,
     order_columns,
     reuse_workspace,
+    whitened_frame,
 )
 
 
@@ -54,18 +54,13 @@ class TestOptimConfig:
             {"grad_tol": 0.0},
             {"grad_tol": -2.0},
             {"epsilon_init": 0.0},
-            {"ridge_frac": 0.0},
             {"grad_tol": -np.inf},
             {"epsilon_init": -1e-3},
-            {"ridge_frac": -1.0},
             {"grad_tol": np.nan},
             {"grad_tol": np.inf},
             {"epsilon_init": -np.inf},
             {"epsilon_init": np.nan},
             {"epsilon_init": np.inf},
-            {"ridge_frac": np.nan},
-            {"ridge_frac": -np.inf},
-            {"ridge_frac": np.inf},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -73,145 +68,76 @@ class TestOptimConfig:
             OptimConfig(**kw)
 
 
-class TestRealBasis:
-    def test_real_spectrum_passthrough(self):
-        A = np.diag([3.0, 2.0, 1.0])
-        evals, evecs = np.linalg.eig(A)
-        V = _real_basis_from_eig(evals, evecs, 2)
-        assert V.shape == (3, 2)
-        assert np.isrealobj(V)
-        # leading directions of a diagonal matrix are coordinate axes
-        assert _cosine(V[:, 0], np.eye(3)[0]) > 1 - 1e-12
-
-    def test_complex_pair_spans_real_plane(self):
-        """A rotation block has complex eigenvectors; the returned real
-        basis must span the same invariant subspace."""
-        theta = 0.7
-        A = np.zeros((4, 4))
-        A[:2, :2] = 5.0 * np.array([
-            [np.cos(theta), -np.sin(theta)],
-            [np.sin(theta), np.cos(theta)],
-        ])
-        A[2, 2], A[3, 3] = 1.0, 0.5
-        evals, evecs = np.linalg.eig(A)
-        V = _real_basis_from_eig(evals, evecs, 2)
-        assert np.isrealobj(V) and V.shape == (4, 2)
-        # invariant plane of the rotation block is span(e1, e2)
-        np.testing.assert_allclose(V[2:, :], 0.0, atol=1e-10)
-        assert np.linalg.matrix_rank(V[:2, :]) == 2
-
-    def test_odd_dim_cut_through_pair_keeps_rank(self):
-        theta = 1.1
-        A = np.zeros((3, 3))
-        A[:2, :2] = 4.0 * np.array([
-            [np.cos(theta), -np.sin(theta)],
-            [np.sin(theta), np.cos(theta)],
-        ])
-        A[2, 2] = 0.2
-        evals, evecs = np.linalg.eig(A)
-        V = _real_basis_from_eig(evals, evecs, 2)
-        assert np.linalg.matrix_rank(V, tol=1e-8) == 2
-
-
 class TestInitProjection:
     def test_matches_discriminant_direction_two_class(self):
-        """With a small ridge and epsilon the init reproduces the leading
-        discriminant direction."""
+        """As epsilon goes to zero the init tends to the leading
+        eigenvector of S'BS, the discriminant direction."""
         ds, model = _two_class_diagonal(1)
-        sc = compute_scatter(ds, model)
-        V = init_projection(sc, 1, OptimConfig())
-        w, _ = discriminant_directions(sc, 1)
+        V = init_projection(model, 1, OptimConfig(epsilon_init=1e-9))
+        S = whitened_frame(model.scatter)
+        w, _ = leading_directions(S, S.T @ model.scatter.between @ S, 1)
         assert _cosine(V, w) > 1 - 1e-6
 
     def test_informative_direction_found(self):
         ds, model = _two_class_diagonal(2)
-        sc = compute_scatter(ds, model)
-        V = init_projection(sc, 1, OptimConfig())
+        V = init_projection(model, 1, OptimConfig())
         assert _cosine(V, [1.0, 0.0]) > 0.99
 
     def test_epsilon_fills_beyond_class_rank(self):
-        """dim above K - 1 stays full rank thanks to the total-scatter term."""
+        """dim above K - 1 stays full rank thanks to the SAVE term."""
         ds, model = _two_class_diagonal(3)
-        sc = compute_scatter(ds, model)
-        V = init_projection(sc, 2, OptimConfig())
+        V = init_projection(model, 2, OptimConfig())
         assert V.shape == (2, 2)
         assert np.linalg.matrix_rank(V, tol=1e-8) == 2
 
     def test_unit_columns(self):
         ds, model = _two_class_diagonal(4)
-        sc = compute_scatter(ds, model)
-        V = init_projection(sc, 2, OptimConfig())
+        V = init_projection(model, 2, OptimConfig())
         np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
 
-    def test_single_class_init_is_principal_components(self):
-        """K = 1 leaves only epsilon * total scatter; columns are its
-        leading eigenvectors."""
+    def test_scale_direction_found_beyond_class_rank(self):
+        """Two classes that differ in location along e1 and in spread
+        along e3: the second direction is the spread's, which only the
+        SAVE term sees."""
         rng = np.random.default_rng(5)
-        X = rng.standard_normal((300, 3)) * [5.0, 1.0, 0.2]
-        ds = Dataset(X=X, labels=np.ones(300, int))
-        sc = compute_scatter(ds, estimate_class_model(ds))
-        V = init_projection(sc, 2, OptimConfig())
-        w, Q = np.linalg.eigh(sc.total)
-        assert _cosine(V[:, 0], Q[:, -1]) > 1 - 1e-8
-        assert _cosine(V[:, 1], Q[:, -2]) > 1 - 1e-8
+        n = 400
+        X = rng.standard_normal((2 * n, 3))
+        X[:n, 0] += 3.0
+        X[n:, 2] *= 4.0
+        ds = Dataset(X, np.repeat([1, 2], n))
+        V = init_projection(estimate_class_model(ds), 2, OptimConfig())
+        assert _cosine(V[:, 0], [1.0, 0.0, 0.0]) > 0.99
+        assert _cosine(V[:, 1], [0.0, 0.0, 1.0]) > 0.99
 
+    def test_does_not_depend_on_units_or_basis(self):
+        """On ``X A`` the init is ``A^{-1} V`` up to the sign and length
+        of each column."""
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((300, 4)) * [1.0, 2.0, 0.5, 1.5]
+        y = rng.integers(1, 4, size=300)
+        X[:, 0] += y
+        X[y == 2, 3] *= 3.0
+        A = rng.standard_normal((4, 4)) @ np.diag([1e-2, 1.0, 1e2, 10.0])
+        V = init_projection(estimate_class_model(Dataset(X, y)), 3)
+        VA = init_projection(estimate_class_model(Dataset(X @ A, y)), 3)
+        for j in range(3):
+            assert _cosine(A @ VA[:, j], V[:, j]) > 1 - 1e-8
 
-def _tiny_two_class_scatter(seed):
-    """Two classes of 2-3 rows in 8 columns: the within scatter is
-    singular and the warm start's eigenvectors can come out dependent."""
-    rng = np.random.default_rng(seed)
-    counts = rng.integers(2, 4, size=2)
-    ds = Dataset(X=rng.standard_normal((counts.sum(), 8)),
-                 labels=np.repeat([1, 2], counts))
-    return compute_scatter(ds, estimate_class_model(ds))
+    def test_dim_above_the_rank_is_a_data_error(self):
+        """A duplicated column leaves the total covariance rank 2 of 3."""
+        ds, _ = _two_class_diagonal(7)
+        X = np.column_stack([ds.X, ds.X[:, 1]])
+        model = estimate_class_model(Dataset(X, ds.labels))
+        assert init_projection(model, 2).shape == (3, 2)
+        with pytest.raises(DataError, match="dim 3 exceeds 2, the rank"):
+            init_projection(model, 3)
 
-
-class TestFallbackProjection:
-    def test_dependent_eigenvectors_fall_back_with_a_warning(self):
-        """On tiny tables of many columns the eigen-solve of the warm
-        start can select nearly dependent eigenvectors; the fallback then
-        gives a finite projection of unit columns with a warning."""
-        hits = 0
-        for seed in range(30):
-            sc = _tiny_two_class_scatter(seed)
-            for dim in (7, 8):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always", UserWarning)
-                    V = init_projection(sc, dim, OptimConfig())
-                if not caught:
-                    continue
-                hits += 1
-                assert [str(w.message) for w in caught] == [
-                    "warm-start eigen-solve failed (selected eigenvectors "
-                    "nearly dependent); using discriminant/principal-"
-                    "component fallback"]
-                assert V.shape == (8, dim) and np.all(np.isfinite(V))
-                np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0,
-                                           atol=1e-12)
-        assert hits >= 2
-
-    @pytest.mark.parametrize("dim", [1, 4, 5, 8])
-    def test_discriminant_then_principal_then_seeded_directions(self, dim):
-        """With two classes one direction is discriminant; the rest are
-        principal components of the total scatter outside the columns
-        so far, and, past its rank of 4, seeded random directions. All
-        are orthonormal, and the first is the discriminant direction."""
-        sc = _tiny_two_class_scatter(6)
-        assert np.linalg.matrix_rank(sc.total) == 4
-        config = OptimConfig(seed=3)
-        V = _fallback_projection(sc, dim, config)
-        assert V.shape == (8, dim) and np.all(np.isfinite(V))
-        np.testing.assert_allclose(V.T @ V, np.eye(dim), atol=1e-10)
-        w, _ = discriminant_directions(sc, 1, config.ridge_frac)
-        assert _cosine(V[:, 0], w) > 1 - 1e-10
-        np.testing.assert_array_equal(V, _fallback_projection(sc, dim,
-                                                              config))
-        if dim > 1:
-            # the principal components lie in the span of the data
-            Q = np.linalg.svd(sc.total)[0][:, :4]
-            k = min(dim, 4)
-            np.testing.assert_allclose(Q @ (Q.T @ V[:, :k]), V[:, :k],
-                                       atol=1e-8)
+    def test_zero_within_scatter_is_a_numerical_error(self):
+        X = np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]], 3, axis=0)
+        model = estimate_class_model(Dataset(X, np.repeat([1, 2, 3], 3)))
+        with pytest.raises(NumericalError, match="no class or cluster has "
+                                                 "within-group spread"):
+            init_projection(model, 1)
 
 
 def _off_ridge(G, D):
@@ -466,16 +392,21 @@ class TestFusedMaximize:
     """``maximize`` values and differentiates from one workspace."""
 
     def test_matches_plain_ascent(self):
+        """The same steps as a plain ascent of ``U`` in the whitened
+        frame ``S``, on the value ``f(S U)`` and the gradient ``S' grad
+        f(S U)``, from ``S' Sigma V0`` with unit columns."""
         ds, model, V0 = _fused_case()
         config = OptimConfig(max_iters=80)
         V, trace = maximize(ds, model, V0, config)
-        V_ref, trace_ref = ascend(
-            lambda M: classification_log_likelihood(ds, M, model),
-            lambda M: grad_objective(ds, M, model), V0, config,
-            scale=float(ds.n))
+        S = whitened_frame(model.scatter)
+        U_ref, trace_ref = ascend(
+            lambda U: classification_log_likelihood(ds, S @ U, model),
+            lambda U: S.T @ grad_objective(ds, S @ U, model),
+            optimizer._normalize_columns(S.T @ model.scatter.total @ V0),
+            config, scale=float(ds.n))
         assert len(trace) == len(trace_ref) > 2
         np.testing.assert_allclose(trace, trace_ref, rtol=1e-12)
-        np.testing.assert_allclose(V, V_ref, rtol=1e-12)
+        np.testing.assert_allclose(V, S @ U_ref, rtol=1e-12)
 
     def test_one_density_evaluation_per_value_call(self, monkeypatch):
         counts = {"value": 0, "grad": 0, "densities": 0}
@@ -502,7 +433,9 @@ class TestFusedMaximize:
 
         _counting_ascend(monkeypatch, {"value": 0, "grad": 0}, probe)
         maximize(ds, model, V0, OptimConfig(max_iters=5))
-        np.testing.assert_array_equal(got["G"], grad_objective(ds, V0, model))
+        S = whitened_frame(model.scatter)
+        np.testing.assert_array_equal(
+            got["G"], S.T @ grad_objective(ds, S @ V0, model))
 
 
 def test_reuse_workspace_builds_once_per_value():
